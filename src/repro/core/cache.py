@@ -13,7 +13,13 @@ compare structurally; per-object identities (:func:`digest`) compress the heavy
 canonicalization into a SHA-1 string computed once and memoized on the object:
 
 - dataclasses/enums/dicts/sequences are recursively canonicalized with sorted keys;
-- numpy arrays hash their shape, dtype and raw bytes (value-exact, no tolerance);
+- numpy arrays hash their shape, dtype and raw bytes (value-exact, no tolerance),
+  read through a ``memoryview`` with no ``tobytes`` copy.  The key also carries a
+  layout tag: an F-contiguous array (typically a transposed view of a weight
+  matrix) is hashed as the C-contiguous bytes of its transpose under the tag
+  ``"ndarray.T"``, so it needs no copy either; every other array is hashed in C
+  order under ``"ndarray"``.  Equal values in different layouts may therefore get
+  different keys (a spurious miss, never a wrong hit);
 - :class:`~repro.dataflow.gemm.GEMMWorkload` operand tensors are hashed once and the
   digest is memoized on the workload object (workloads are treated as immutable
   once handed to an engine -- mutate a copy, not the original, between runs).
@@ -65,9 +71,11 @@ def canonical_value(obj: Any, depth: int = 0) -> Any:
     if isinstance(obj, Enum):
         return ("enum", type(obj).__name__, obj.value)
     if isinstance(obj, np.ndarray):
-        data = np.ascontiguousarray(obj)
-        digest = hashlib.sha1(data.tobytes()).hexdigest()
-        return ("ndarray", data.shape, str(data.dtype), digest)
+        if obj.flags.f_contiguous and not obj.flags.c_contiguous:
+            tag, data = "ndarray.T", memoryview(obj.T)
+        else:
+            tag, data = "ndarray", memoryview(np.ascontiguousarray(obj))
+        return (tag, obj.shape, str(obj.dtype), hashlib.sha1(data).hexdigest())
     if isinstance(obj, np.generic):
         return canonical_value(obj.item(), depth + 1)
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):

@@ -21,6 +21,12 @@ class GEMMWorkload:
 
     Conventionally operand B holds the *weights* (the operand that may be held
     stationary on a PTC) and operand A holds the *activations*.
+
+    The operand arrays may be read-only views rather than copies: workloads
+    extracted from a model hold ``weight_values`` as a transposed view of the
+    layer's own weight matrix (and the layer input / mask likewise), so the
+    weights are stored once.  Treat them as immutable; to change an operand,
+    build a new workload with a new array.
     """
 
     name: str

@@ -12,12 +12,15 @@ such weighted path.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Tuple
-
-import networkx as nx
+from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Tuple
 
 from repro.devices.library import DeviceLibrary
 from repro.netlist.netlist import Netlist
+
+if TYPE_CHECKING:
+    # Imported where used instead, so commands that build no circuit DAG
+    # (``repro list``, store-served runs) do not pay networkx's import time.
+    import networkx as nx
 
 
 @dataclass(frozen=True)
@@ -65,6 +68,8 @@ class CircuitDAG:
         return device.insertion_loss_db * multiplier
 
     def _build_graph(self) -> nx.DiGraph:
+        import networkx as nx
+
         graph = nx.DiGraph()
         for name, inst in self.netlist.instances.items():
             graph.add_node(name, device=inst.device, role=inst.role)
@@ -100,6 +105,8 @@ class CircuitDAG:
             return CriticalPath(
                 instances=(worst,), insertion_loss_db=self._instance_loss_db(worst)
             )
+        import networkx as nx
+
         path = nx.dag_longest_path(self.graph, weight="loss_db")
         loss = nx.dag_longest_path_length(self.graph, weight="loss_db")
         loss += self._instance_loss_db(path[0])
@@ -121,6 +128,8 @@ class CircuitDAG:
         """Longest-loss path starting at a specific source instance."""
         if source not in self.netlist:
             raise KeyError(f"unknown instance {source!r}")
+        import networkx as nx
+
         best_path: List[str] = [source]
         best_loss = self._instance_loss_db(source)
         for sink in self.netlist.sinks():

@@ -169,6 +169,20 @@ def _match_dtype(x: np.ndarray, dtype: np.dtype) -> np.ndarray:
     return x if x.dtype == dtype else x.astype(dtype)
 
 
+def _readonly(x: np.ndarray) -> np.ndarray:
+    """A read-only view of ``x``; ``x`` itself stays writeable.
+
+    GEMM workload records hold their operands this way instead of as copies:
+    the layer's weight is stored once, and a write through the record fails
+    loudly instead of corrupting the layer.  Conversion and pruning *rebind*
+    ``weight`` / ``pruning_mask`` rather than writing into them, so a record
+    keeps the values it was extracted with.
+    """
+    view = x.view()
+    view.setflags(write=False)
+    return view
+
+
 # -- reusable scratch buffers ----------------------------------------------------------
 
 
@@ -446,9 +460,9 @@ class Linear(Module):
             weight_bits=self.weight_bits,
             output_bits=self.output_bits,
             layer_type="linear",
-            weight_values=weight.T.copy(),
-            input_values=flat.copy(),
-            pruning_mask=None if self.pruning_mask is None else self.pruning_mask.T.copy(),
+            weight_values=_readonly(weight.T),
+            input_values=_readonly(flat),
+            pruning_mask=None if self.pruning_mask is None else _readonly(self.pruning_mask.T),
             weight_static=True,
         )
         return [gemm], self.forward(x)
@@ -657,7 +671,7 @@ class Conv2d(Module):
         mask = (
             None
             if self.pruning_mask is None
-            else self.pruning_mask.reshape(self.out_channels, -1).T.copy()
+            else _readonly(self.pruning_mask.reshape(self.out_channels, -1).T)
         )
         gemm = GEMMWorkload(
             name=self.name,
@@ -668,8 +682,8 @@ class Conv2d(Module):
             weight_bits=self.weight_bits,
             output_bits=self.output_bits,
             layer_type="conv",
-            weight_values=weight.T.copy(),
-            input_values=cols,
+            weight_values=_readonly(weight.T),
+            input_values=_readonly(cols),
             pruning_mask=mask,
             weight_static=True,
         )
@@ -774,10 +788,12 @@ class MultiHeadAttention(Module):
         x = np.asarray(x, dtype=float)
         tokens = x.shape[0]
         gemms: List[GEMMWorkload] = []
+        projected = []
         for proj in (self.w_q, self.w_k, self.w_v):
-            proj_gemms, _ = proj.extract_gemms(x)
+            proj_gemms, y = proj.extract_gemms(x)
             gemms.extend(proj_gemms)
-        q, k, v = self.w_q(x), self.w_k(x), self.w_v(x)
+            projected.append(y)
+        q, k, v = projected
         qh, kh, vh = self._heads(q), self._heads(k), self._heads(v)
         # Dynamic attention matmuls (one GEMM record per head, operands both
         # data dependent).  The scores/attention tensors are computed once,

@@ -30,13 +30,19 @@ def quantize_uniform(
     if values.size == 0:
         return values.copy()
     if symmetric:
-        peak = float(np.max(np.abs(values)))
+        # max(|v|) as max(max(v), -min(v)), as in quantize_uniform_batch: no |v|
+        # temporary, and a NaN anywhere still yields a NaN peak.
+        peak = np.maximum(values.max(), -values.min())
         if peak == 0.0:
             return np.zeros_like(values)
         # Signed grid with 2^(bits-1) - 1 positive levels.
         levels = max(2 ** (bits - 1) - 1, 1)
         scale = peak / levels
-        return np.round(values / scale) * scale
+        # One output allocation, rounded and rescaled in place.
+        out = np.divide(values, scale, out=np.empty_like(values))
+        np.round(out, out=out)
+        out *= scale
+        return out
     low = float(values.min())
     high = float(values.max())
     if high == low:

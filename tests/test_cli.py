@@ -153,6 +153,18 @@ def test_python_dash_m_repro_entry_point(tmp_path):
     assert "table1_taxonomy" in proc.stdout
 
 
+def test_cli_import_does_not_load_networkx():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(REPO_ROOT / "src") + os.pathsep + env.get("PYTHONPATH", "")
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, repro.cli; print('networkx' in sys.modules)"],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
 def test_console_script_is_declared():
     tomllib = pytest.importorskip("tomllib")  # stdlib from Python 3.11
 

@@ -137,6 +137,57 @@ class TestCanonicalHashing:
         b[3] += 1e-12
         assert fingerprint(a) != fingerprint(b)
 
+    @staticmethod
+    def _layouts(base):
+        """``base``'s values as a C-, an F- and a non-contiguous strided array."""
+        strided = np.empty((base.shape[0], 2 * base.shape[1]))[:, ::2]
+        strided[...] = base
+        return {
+            "c": np.ascontiguousarray(base),
+            "f": np.asfortranarray(base),
+            "strided": strided,
+        }
+
+    def test_ndarray_layout_tags(self):
+        layouts = self._layouts(np.arange(12.0).reshape(3, 4))
+        assert canonical_value(layouts["c"])[0] == "ndarray"
+        assert canonical_value(layouts["f"])[0] == "ndarray.T"
+        assert canonical_value(layouts["strided"])[0] == "ndarray"
+        # 1-D arrays are both C- and F-contiguous and take the C tag.
+        assert canonical_value(np.arange(3.0))[0] == "ndarray"
+
+    def test_ndarray_keys_by_layout_randomized(self):
+        rng = np.random.default_rng(11)
+        for _ in range(50):
+            shape = tuple(int(d) for d in rng.integers(2, 7, size=2))
+            base = rng.normal(size=shape)
+            other = base.copy()
+            other[tuple(rng.integers(0, d) for d in shape)] += 1.0
+            for layout in ("c", "f", "strided"):
+                a = self._layouts(base)[layout]
+                a_again = self._layouts(base.copy())[layout]
+                b = self._layouts(other)[layout]
+                assert fingerprint(a) == fingerprint(a_again), layout
+                assert fingerprint(a) != fingerprint(b), layout
+            # Equal values hash alike across the two layouts hashed in C order.
+            assert fingerprint(self._layouts(base)["c"]) == fingerprint(
+                self._layouts(base)["strided"]
+            )
+
+    def test_f_contiguous_distinct_from_its_c_transpose(self):
+        # An F-contiguous array hashes the bytes of its C-contiguous
+        # transpose; the tag and shape keep the two keys apart.
+        f = np.asfortranarray(np.arange(12.0).reshape(3, 4))
+        assert fingerprint(f) != fingerprint(np.ascontiguousarray(f.T))
+
+    def test_ndarray_hash_matches_byte_digest(self):
+        import hashlib
+
+        a = np.random.default_rng(5).normal(size=(4, 3))
+        f = np.asfortranarray(a)
+        assert canonical_value(a)[3] == hashlib.sha1(a.tobytes()).hexdigest()
+        assert canonical_value(f)[3] == hashlib.sha1(f.T.tobytes()).hexdigest()
+
     def test_dataclass_fields_hashed(self):
         c1 = ArchitectureConfig(core_height=4)
         c2 = ArchitectureConfig(core_height=4)

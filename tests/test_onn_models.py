@@ -14,7 +14,8 @@ from repro.onn import (
     quantize_uniform,
 )
 from repro.onn.convert import ptc_assignment_of
-from repro.onn.layers import Conv2d, Linear
+from repro.core.cache import workload_fingerprint
+from repro.onn.layers import Conv2d, Flatten, Linear, MultiHeadAttention, ReLU, Sequential
 from repro.onn.models import build_bert_base_image, build_mlp, build_vgg8_cifar10
 from repro.onn.models.transformer import TransformerEncoder
 from repro.onn.prune import sparsity
@@ -69,6 +70,71 @@ class TestQuantization:
         quantized = quantize_uniform(values, bits)
         lsb = np.max(np.abs(values)) / (2 ** (bits - 1) - 1)
         assert np.max(np.abs(values - quantized)) <= lsb / 2 + 1e-12
+
+
+def _quantize_uniform_reference(values, bits):
+    """The earlier symmetric quantize_uniform, kept as the bit-exact oracle."""
+    values = np.asarray(values, dtype=float)
+    if values.size == 0:
+        return values.copy()
+    peak = float(np.max(np.abs(values)))
+    if peak == 0.0:
+        return np.zeros_like(values)
+    levels = max(2 ** (bits - 1) - 1, 1)
+    scale = peak / levels
+    return np.round(values / scale) * scale
+
+
+class TestQuantizeUniformBitIdentity:
+    SPECIALS = [
+        np.zeros(7),
+        np.full(5, -0.0),
+        np.array([0.0, -0.0, 0.0]),
+        np.array([-0.0, 1.5, -2.5, 0.5]),
+        np.array([np.nan, 1.0, -2.0]),
+        np.array([1.0, np.nan]),
+        np.full(3, np.nan),
+        np.array([np.inf, 1.0, -3.0]),
+        np.array([-np.inf, 0.0]),
+        np.array([3.0]),
+        np.array([-1e-300, 5e-324, 2e-308]),
+        np.arange(-6.0, 7.0),
+    ]
+
+    @staticmethod
+    def _assert_bit_identical(values, bits):
+        with np.errstate(invalid="ignore"):  # NaN/inf inputs warn in both
+            expected = _quantize_uniform_reference(values, bits)
+            got = quantize_uniform(values, bits)
+        assert got.shape == expected.shape and got.dtype == expected.dtype
+        assert got.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("bits", [1, 2, 4, 8, 16])
+    def test_special_inputs(self, bits):
+        for values in self.SPECIALS:
+            self._assert_bit_identical(values, bits)
+
+    def test_randomized_against_reference(self):
+        rng = np.random.default_rng(2024)
+        for _ in range(300):
+            shape = tuple(rng.integers(1, 9, size=rng.integers(1, 4)))
+            values = rng.normal(size=shape) * 10.0 ** rng.uniform(-6, 6)
+            if rng.random() < 0.3:  # ties on the rounding grid
+                values = np.round(values * 4) / 4
+            flat = values.reshape(-1)
+            for special in (0.0, -0.0, np.nan, np.inf):
+                if rng.random() < 0.2:
+                    flat[rng.integers(flat.size)] = special
+            if values.ndim > 1 and rng.random() < 0.5:
+                values = np.asfortranarray(values)
+            bits = int(rng.integers(1, 17))
+            self._assert_bit_identical(values, bits)
+
+    def test_input_left_unchanged(self):
+        values = np.random.default_rng(3).normal(size=(4, 5))
+        before = values.copy()
+        quantize_uniform(values, 3)
+        assert values.tobytes() == before.tobytes()
 
 
 class TestPruning:
@@ -247,3 +313,101 @@ class TestWorkloadExtraction:
         model = build_mlp((8, hidden, out))
         workloads = extract_workloads(model, np.ones(8))
         assert total_macs(workloads) == 8 * hidden + hidden * out
+
+
+def _small_transformer():
+    return TransformerEncoder(image_size=32, patch_size=16, num_layers=1,
+                              embed_dim=32, num_heads=4, mlp_dim=64, num_classes=5,
+                              rng=np.random.default_rng(7))
+
+
+def _small_cnn():
+    rng = np.random.default_rng(8)
+    return Sequential(
+        Conv2d(3, 4, 3, padding=1, name="conv1", rng=rng),
+        ReLU(),
+        Conv2d(4, 6, 3, stride=2, name="conv2", rng=rng),
+        Flatten(),
+        Linear(6 * 3 * 3, 5, name="fc", rng=rng),
+        name="cnn",
+    )
+
+
+class TestOperandSharing:
+    """Extracted GEMM records hold read-only views of the layer operands."""
+
+    CASES = [
+        (_small_transformer, (3, 32, 32)),
+        (_small_cnn, (3, 8, 8)),
+    ]
+
+    @staticmethod
+    def _weighted_layers(model):
+        return [m for m in model.modules() if isinstance(m, (Conv2d, Linear))]
+
+    @pytest.mark.parametrize("build, shape", CASES)
+    def test_weight_values_are_readonly_views(self, build, shape):
+        model = build()
+        x = np.random.default_rng(0).normal(size=shape)
+        gemms = {w.gemm.name: w.gemm for w in extract_workloads(model, x)}
+        layers = self._weighted_layers(model)
+        assert layers
+        for layer in layers:
+            gemm = gemms[layer.name]
+            assert np.shares_memory(gemm.weight_values, layer.weight)
+            assert not gemm.weight_values.flags.writeable
+            assert not gemm.input_values.flags.writeable
+            assert layer.weight.flags.writeable
+            with pytest.raises(ValueError):
+                gemm.weight_values[0, 0] = 1.0
+
+    @pytest.mark.parametrize("build, shape", CASES)
+    def test_pruning_mask_is_readonly_view(self, build, shape):
+        model = build()
+        for layer in self._weighted_layers(model):
+            apply_pruning(layer, 0.5)
+        x = np.random.default_rng(0).normal(size=shape)
+        gemms = {w.gemm.name: w.gemm for w in extract_workloads(model, x)}
+        for layer in self._weighted_layers(model):
+            mask = gemms[layer.name].pruning_mask
+            assert np.shares_memory(mask, layer.pruning_mask)
+            assert not mask.flags.writeable
+            assert layer.pruning_mask.flags.writeable
+
+    @pytest.mark.parametrize("build, shape", CASES)
+    def test_rebinding_weights_leaves_workloads_unchanged(self, build, shape):
+        model = build()
+        x = np.random.default_rng(1).normal(size=shape)
+        first = extract_workloads(model, x)
+        second = extract_workloads(model, x)
+        snapshot = [
+            (w.gemm.weight_values.copy(), w.gemm.input_values.copy()) for w in first
+        ]
+        before = [workload_fingerprint(w) for w in first]
+        # Conversion rebinds every weight to a quantized copy; pruning rebinds
+        # the masks.  Neither may reach into already-extracted records.
+        convert_to_onn(model, ONNConversionConfig(weight_bits=3, prune_ratio=0.5))
+        for layer in self._weighted_layers(model):
+            apply_pruning(layer, 0.25)
+        for (weights, inputs), w in zip(snapshot, second):
+            np.testing.assert_array_equal(w.gemm.weight_values, weights)
+            np.testing.assert_array_equal(w.gemm.input_values, inputs)
+        # ``second`` was never fingerprinted: its digest is computed now, after
+        # the rebinding, from the views it holds.
+        assert [workload_fingerprint(w) for w in second] == before
+
+    def test_attention_reuses_projection_outputs(self):
+        attn = MultiHeadAttention(16, 4, name="attn", rng=np.random.default_rng(2))
+        x = np.random.default_rng(3).normal(size=(6, 16))
+        expected = attn(x)
+        calls = {}
+        for proj in (attn.w_q, attn.w_k, attn.w_v, attn.w_o):
+            def counted(inp, _proj=proj, _forward=proj.forward):
+                calls[_proj.name] = calls.get(_proj.name, 0) + 1
+                return _forward(inp)
+
+            proj.forward = counted
+        gemms, out = attn.extract_gemms(x)
+        assert calls == {p.name: 1 for p in (attn.w_q, attn.w_k, attn.w_v, attn.w_o)}
+        assert out.tobytes() == expected.tobytes()
+        assert len(gemms) == 4 + 2 * 4
