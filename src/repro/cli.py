@@ -373,11 +373,11 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         payload, ref_thresholds, key="speedup_vs_reference_median"
     )
     if args.fail_below_dispatch is not None:
-        warm = payload["dispatch_comparison"]["dispatch"]["warm_shm"]
+        warm = payload["dispatch_comparison"]["dispatch"]["warm"]
         ratio = warm["speedup_vs_serial_median"]
         if ratio < args.fail_below_dispatch:
             failures.append(
-                f"{args.compare_dispatch}: warm+shm process dispatch at "
+                f"{args.compare_dispatch}: warm-pool process dispatch at "
                 f"{ratio:.2f}x of serial, below the required "
                 f"{args.fail_below_dispatch:.2f}x"
             )
@@ -681,13 +681,13 @@ def build_parser() -> argparse.ArgumentParser:
                          const="variation_robustness", default=None,
                          help="additionally time SCENARIO (default: "
                               "variation_robustness) on the process backend "
-                              "under cold-pool, warm-pool and warm+shm "
-                              "dispatch and record medians plus dispatch-"
-                              "overhead stage timings in the report's "
+                              "under cold-pool and warm-pool dispatch and "
+                              "record medians plus dispatch overhead (mode "
+                              "median minus serial median) in the report's "
                               "dispatch_comparison block")
     p_bench.add_argument("--fail-below-dispatch", type=float, default=None,
                          metavar="FACTOR",
-                         help="exit non-zero when the warm+shm process-backend "
+                         help="exit non-zero when the warm-pool process-backend "
                               "run is slower than FACTOR x serial (requires "
                               "--compare-dispatch)")
     p_bench.add_argument("--output", default=DEFAULT_BENCH_PATH, metavar="PATH",

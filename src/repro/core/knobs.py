@@ -285,14 +285,6 @@ register(
     description="Seconds a warm process pool may sit idle before it is reaped.",
 )
 register(
-    "REPRO_SHM",
-    default="on",
-    choices=("on", "off"),
-    description="Shared-memory array transport for task-shipping backends: "
-    "large arrays are published once per host and task encodings carry "
-    "content-addressed handles instead of pickled copies.",
-)
-register(
     "REPRO_CACHE_MAX_ENTRIES",
     type="int",
     description="LRU entry cap of the evaluation cache (unset = unbounded); "

@@ -4,10 +4,22 @@
 scenario runner and the design-space explorer both consume
 :class:`ExecutionBackend` instead of hand-rolled executor code, so ``--backend
 {serial,threads,processes,cluster} --jobs N`` means the same thing everywhere.
-The :mod:`~repro.exec.telemetry` helpers keep the accounting (engine passes,
-per-pass wall-clock, cache hit/miss counters) mergeable across process -- and,
-with :mod:`~repro.exec.cluster`, host -- boundaries, so reports look identical
-no matter which backend ran the work.
+Alongside the backends:
+
+- :mod:`~repro.exec.pool` keeps warm process pools alive across dispatches
+  (``REPRO_POOL=warm``);
+- :mod:`~repro.exec.shm` ships large payloads as content-addressed
+  shared-memory handles, inline below 64 KiB or where shared memory is
+  unavailable;
+- :mod:`~repro.exec.cluster` runs the same task encodings on TCP-connected
+  worker processes, possibly on other hosts;
+- :mod:`~repro.exec.telemetry` keeps the accounting (engine passes, per-pass
+  wall-clock, cache hit/miss counters) mergeable across process and host
+  boundaries, so reports look identical no matter which backend ran the work.
+
+Timed Monte Carlo stages that run in a worker are summed there and re-emitted
+in the dispatching parent through :mod:`repro.core.observe`, so one observer
+sees the same stage names on every backend.
 """
 
 from repro.exec.backends import (
@@ -35,7 +47,6 @@ from repro.exec.shm import (
     resolve_array,
     resolve_object,
     set_fetch_hook,
-    shm_enabled,
     unlink_all,
 )
 from repro.exec.cluster import (
@@ -50,7 +61,6 @@ from repro.exec.cluster import (
 )
 from repro.exec.telemetry import (
     scoped_pass_observer,
-    PassTiming,
     WorkerTelemetry,
     cache_stats_delta,
     cache_stats_snapshot,
@@ -65,7 +75,6 @@ __all__ = [
     "ClusterCoordinator",
     "ClusterTaskError",
     "ExecutionBackend",
-    "PassTiming",
     "ProcessBackend",
     "SerialBackend",
     "ShmHandle",
@@ -95,7 +104,6 @@ __all__ = [
     "resolve_object",
     "run_worker",
     "set_fetch_hook",
-    "shm_enabled",
     "shutdown_coordinators",
     "spawn_local_workers",
     "steal_partition",

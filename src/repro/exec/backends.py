@@ -32,6 +32,7 @@ import threading
 from concurrent.futures import Executor, ProcessPoolExecutor, ThreadPoolExecutor
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Type, Union
 
+from repro.core import observe
 from repro.core.knobs import REPRO_ENV_PREFIX, repro_env_snapshot
 
 TaskFn = Callable[[Any, Any], Any]
@@ -306,20 +307,17 @@ def _run_chunk(
 ) -> "Tuple[List[Any], Optional[Dict[str, float]]]":
     """Worker-side loop: one unpickle of (fn, shared) serves the whole chunk.
 
-    Returns ``(results, stage_totals)``.  When the parent has stage observers
-    registered it asks for ``collect_stages``: the worker accumulates its own
-    :func:`repro.variation.stages.stage` blocks and ships the totals home, so
-    stage attribution survives the process boundary (the bug that left cluster
-    bench records with only the parent-side ``rng`` stage).
+    Returns ``(results, stage_totals)``.  When the dispatching parent has an
+    observer registered it asks for ``collect_stages``: the worker sums its own
+    timed stage blocks (:func:`repro.core.observe.stage_totals`) and ships the
+    totals home, where the parent re-emits them, so stage attribution survives
+    the process boundary.
     """
     if not collect_stages:
         return [fn(shared, task) for task in chunk], None
-    from repro.variation.stages import StageAccumulator, observe_stages
-
-    accumulator = StageAccumulator()
-    with observe_stages(accumulator):
+    with observe.stage_totals() as totals:
         results = [fn(shared, task) for task in chunk]
-    return results, (accumulator.totals() or None)
+    return results, (totals or None)
 
 
 class ProcessBackend(ExecutionBackend):
@@ -435,9 +433,7 @@ class ProcessBackend(ExecutionBackend):
     def _collect(
         pool: Executor, fn: TaskFn, shared: Any, chunks: List[List[Any]]
     ) -> List[Any]:
-        from repro.variation.stages import emit_totals, stages_active
-
-        collect = stages_active()
+        collect = observe.active()
         futures = [
             pool.submit(_run_chunk, fn, shared, chunk, collect) for chunk in chunks
         ]
@@ -449,8 +445,8 @@ class ProcessBackend(ExecutionBackend):
             if chunk_stages:
                 for name, seconds in chunk_stages.items():
                     totals[name] = totals.get(name, 0.0) + seconds
-        if totals:
-            emit_totals(totals)
+        for name, seconds in totals.items():
+            observe.emit(name, seconds)
         return results
 
 

@@ -33,9 +33,9 @@ Frames are ``8-byte big-endian length + pickle``.  The worker opens with
 ``map_tasks`` round ships its pickled ``(fn, shared)`` payload once per worker
 (``"context"``), then ``("task", round, chunk_id, tasks, want_stages)``
 messages; workers answer ``("result", round, chunk_id, results, stage_totals)``
--- ``stage_totals`` carries the worker-side
-:class:`~repro.variation.stages.StageAccumulator` snapshot when the
-coordinator asked for it, so stage attribution survives the host boundary --
+-- ``stage_totals`` carries the worker's ``{stage: seconds}`` sums
+(:func:`repro.core.observe.stage_totals`) when the coordinator asked for
+them, so stage attribution survives the host boundary --
 or ``("error", ...)`` with the remote traceback.  A worker resolving a
 :class:`~repro.exec.shm.ShmHandle` it cannot see locally (a cross-host
 segment) sends ``("fetch", digest)`` and the coordinator answers ``("blob",
@@ -74,11 +74,12 @@ import traceback
 from collections import Counter, OrderedDict, deque
 from typing import Any, Deque, Dict, List, Optional, Sequence, Tuple
 
-from repro.core import knobs
+from repro.core import knobs, observe
 from repro.exec.backends import (
     BACKENDS,
     ExecutionBackend,
     TaskFn,
+    _run_chunk,
     _validate_jobs,
     steal_partition,
 )
@@ -273,8 +274,8 @@ class _Round:
         self.error: Optional[BaseException] = None
         self.max_attempts = max_attempts
         self.context_workers: set = set()
-        #: Whether workers should ship their StageAccumulator snapshots back
-        #: (set when the dispatching parent has stage observers registered).
+        #: Whether workers should ship their stage totals back (set when the
+        #: dispatching parent has an observer registered).
         self.want_stages = False
         #: Worker-side stage totals, folded across chunks as results land --
         #: only the *first* result of a reassigned chunk counts, so totals
@@ -560,8 +561,6 @@ class ClusterCoordinator:
         the context (e.g. for a picklability probe) pass it to avoid paying
         for the same pickle twice per round.
         """
-        from repro.variation.stages import emit_totals, stages_active
-
         with self._map_lock:
             if not self._alive:
                 raise RuntimeError("cluster coordinator is shut down")
@@ -572,7 +571,7 @@ class ClusterCoordinator:
             )
             with self._cond:
                 rnd = _Round(next(self._round_ids), b"", chunks, self.max_attempts)
-                rnd.want_stages = stages_active()
+                rnd.want_stages = observe.active()
                 rnd.context_digest = hashlib.sha1(context).hexdigest()
                 rnd.payload = pickle.dumps(
                     ("context", rnd.round_id, rnd.context_digest, context),
@@ -632,8 +631,8 @@ class ClusterCoordinator:
             # Re-emit the workers' stage totals where the observers live: the
             # dispatching parent.  This is what keeps cluster bench records
             # from collapsing to the parent-side ``rng`` stage alone.
-            if rnd.stage_totals:
-                emit_totals(rnd.stage_totals)
+            for name, seconds in rnd.stage_totals.items():
+                observe.emit(name, seconds)
             return [rnd.results[i] for i in range(len(chunks))]
 
     def _dispatch(self, worker: _WorkerConn, rnd: _Round, cid: int) -> None:
@@ -929,7 +928,6 @@ def _serve_session(sock: socket.socket, quiet: bool) -> str:
 
     threading.Thread(target=beat, name="cluster-heartbeat", daemon=True).start()
     from repro.exec import shm as shm_transport
-    from repro.variation.stages import StageAccumulator, observe_stages
 
     contexts: Dict[int, Tuple[TaskFn, Any]] = {}
     #: Content-addressed store of unpickled (fn, shared) contexts, so rounds
@@ -994,14 +992,7 @@ def _serve_session(sock: socket.socket, quiet: bool) -> str:
                 _, round_id, chunk_id, chunk, want_stages = frame
                 try:
                     fn, shared = contexts[round_id]
-                    stage_totals: Optional[Dict[str, float]] = None
-                    if want_stages:
-                        accumulator = StageAccumulator()
-                        with observe_stages(accumulator):
-                            results = [fn(shared, task) for task in chunk]
-                        stage_totals = accumulator.totals() or None
-                    else:
-                        results = [fn(shared, task) for task in chunk]
+                    results, stage_totals = _run_chunk(fn, shared, chunk, want_stages)
                     payload = pickle.dumps(
                         ("result", round_id, chunk_id, results, stage_totals),
                         protocol=pickle.HIGHEST_PROTOCOL,

@@ -3,11 +3,10 @@
 A cold :class:`~concurrent.futures.ProcessPoolExecutor` pays fork + interpreter
 start + module import for every ``BatchRunner`` / ``DesignSpaceExplorer``
 invocation, and its workers die with their memoized state (per-worker caches,
-unpickled shm objects, architecture builds).  With ``REPRO_POOL=warm`` the
-process backend leases its executor from this module instead: one pool per
-worker count stays alive across dispatches, so the second batch starts with
-imported modules and warm caches -- the prerequisite for the planned
-``repro serve`` daemon.
+objects resolved from shared-memory handles, architecture builds).  With
+``REPRO_POOL=warm`` the process backend leases its executor from this module
+instead: one pool per worker count stays alive across dispatches, so the
+second dispatch starts with imported modules and warm caches.
 
 Correctness guards:
 

@@ -28,10 +28,10 @@ Three resolution tiers, tried in order:
    speaking ``("fetch", digest)`` / ``("blob", ...)`` frames) pulls the bytes
    once and caches them under the same digest for every later handle.
 
-Handles degrade gracefully: payloads below :data:`INLINE_MAX_BYTES`, publishes
-under ``REPRO_SHM=off``, and platforms without shared memory all fall back to
-carrying the bytes inline in the handle -- resolution is identical either way,
-so consumers never branch on the transport.
+Handles degrade gracefully: payloads below :data:`INLINE_MAX_BYTES` and
+platforms without shared memory fall back to carrying the bytes inline in the
+handle -- resolution is identical either way, so consumers never branch on
+the transport.
 
 Publishing is idempotent per digest and the publisher owns segment lifetime:
 :func:`unlink_all` (registered ``atexit``) closes and unlinks everything this
@@ -51,16 +51,9 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.core import knobs
-
 #: Payloads at or below this many bytes ship inline in the handle: a pickle of
 #: this size costs less than a segment create + attach round-trip.
 INLINE_MAX_BYTES = 1 << 16
-
-
-def shm_enabled() -> bool:
-    """Whether publishes may create shared-memory segments (``REPRO_SHM``)."""
-    return knobs.value("REPRO_SHM") == "on"
 
 
 @dataclass(frozen=True)
@@ -171,8 +164,8 @@ def publish_array(array: np.ndarray) -> ShmHandle:
     """Publish an array once and return its content-addressed handle.
 
     Idempotent per content: republishing identical bytes returns the existing
-    handle.  Small arrays, ``REPRO_SHM=off`` and shm-less platforms fall back
-    to an inline handle (same digest, same resolution path).
+    handle.  Small arrays and shm-less platforms fall back to an inline handle
+    (same digest, same resolution path).
     """
     array = np.ascontiguousarray(array)
     data = array.tobytes()
@@ -196,7 +189,7 @@ def _publish(data: bytes, shape: Tuple[int, ...], dtype: str, kind: str) -> ShmH
         entry = _REGISTRY.published.get(digest)
         if entry is not None:
             return entry[1]
-    if len(data) <= INLINE_MAX_BYTES or not shm_enabled():
+    if len(data) <= INLINE_MAX_BYTES:
         return ShmHandle(
             digest=digest, kind=kind, shape=shape, dtype=dtype, inline=data
         )

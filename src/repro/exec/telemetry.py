@@ -2,12 +2,13 @@
 
 Both orchestration layers (:class:`~repro.scenarios.runner.BatchRunner` and
 :class:`~repro.explore.dse.DesignSpaceExplorer`) report how much engine work an
-execution actually performed: per-pass wall-clock (:class:`PassTiming`) and the
-evaluation cache's hit/miss counters.  Under the in-process backends these are
-observed directly; under :class:`~repro.exec.backends.ProcessBackend` each
-worker measures its own share and ships a picklable snapshot back, which the
-parent folds together with :func:`merge_pass_timings` /
-:func:`merge_cache_stats` so the report looks the same regardless of backend.
+execution actually performed: per-pass wall-clock
+(:class:`~repro.core.observe.Timing`) and the evaluation cache's hit/miss
+counters.  Under the in-process backends these are observed directly; under
+:class:`~repro.exec.backends.ProcessBackend` each worker measures its own share
+and ships a picklable snapshot back, which the parent folds together with
+:func:`merge_pass_timings` / :func:`merge_cache_stats` so the report looks the
+same regardless of backend.
 """
 
 from __future__ import annotations
@@ -16,37 +17,17 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterable, Mapping, Tuple
 
 from repro.core.cache import CacheStats, EvaluationCache
-
-
-@dataclass
-class PassTiming:
-    """Accumulated wall-clock of one engine pass (stage) across an execution."""
-
-    count: int = 0
-    total_s: float = 0.0
-
-    def add(self, elapsed_s: float) -> None:
-        self.count += 1
-        self.total_s += elapsed_s
-
-    @property
-    def mean_ms(self) -> float:
-        return self.total_s * 1e3 / self.count if self.count else 0.0
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"PassTiming(count={self.count}, total_s={self.total_s:.4f})"
+from repro.core.observe import Timing
 
 
 def merge_pass_timings(
-    parts: Iterable[Mapping[str, PassTiming]],
-) -> Dict[str, PassTiming]:
-    """Fold per-worker pass-timing maps into one ``{stage: PassTiming}``."""
-    merged: Dict[str, PassTiming] = {}
+    parts: Iterable[Mapping[str, Timing]],
+) -> Dict[str, Timing]:
+    """Fold per-worker pass-timing maps into one ``{stage: Timing}``."""
+    merged: Dict[str, Timing] = {}
     for timings in parts:
         for stage, timing in timings.items():
-            into = merged.setdefault(stage, PassTiming())
-            into.count += timing.count
-            into.total_s += timing.total_s
+            merged.setdefault(stage, Timing()).merge(timing)
     return merged
 
 
@@ -65,7 +46,7 @@ def merge_cache_stats(
 
 
 def scoped_pass_observer(cache: EvaluationCache, telemetry: "WorkerTelemetry", lock=None):
-    """An ``observe_passes`` callback counting only engines bound to ``cache``.
+    """An ``observe`` callback counting only the passes of engines bound to ``cache``.
 
     Cache identity is the scoping rule everywhere (batch runner, explorer,
     process workers): it attributes engine passes to the orchestration layer
@@ -77,10 +58,10 @@ def scoped_pass_observer(cache: EvaluationCache, telemetry: "WorkerTelemetry", l
 
     def record(stage: str, elapsed_s: float) -> None:
         telemetry.engine_passes += 1
-        telemetry.pass_timings.setdefault(stage, PassTiming()).add(elapsed_s)
+        telemetry.pass_timings.setdefault(stage, Timing()).add(elapsed_s)
 
-    def observe(stage: str, engine: object, elapsed_s: float) -> None:
-        if getattr(engine, "cache", None) is not cache:
+    def observe(stage: str, elapsed_s: float, engine: object) -> None:
+        if engine is None or engine.cache is not cache:
             return
         if lock is not None:
             with lock:
@@ -115,7 +96,7 @@ def cache_stats_delta(
     return delta
 
 
-def render_pass_timings(timings: Mapping[str, PassTiming]) -> str:
+def render_pass_timings(timings: Mapping[str, Timing]) -> str:
     """One line per stage: ``stage: N passes, total ms (mean ms)``."""
     lines = [
         f"  {stage:16s} {t.count:4d} passes  {t.total_s * 1e3:9.2f} ms total"
@@ -135,7 +116,7 @@ class WorkerTelemetry:
     """
 
     engine_passes: int = 0
-    pass_timings: Dict[str, PassTiming] = field(default_factory=dict)
+    pass_timings: Dict[str, Timing] = field(default_factory=dict)
     cache_stats: Dict[str, CacheStats] = field(default_factory=dict)
 
     def merge_into(self, other: "WorkerTelemetry") -> None:

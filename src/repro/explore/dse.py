@@ -40,7 +40,6 @@ from typing import (
     Optional,
     Sequence,
     Tuple,
-    Union,
 )
 
 from repro.arch.architecture import Architecture, ArchitectureConfig
@@ -53,16 +52,11 @@ from repro.core.cache import (
     workload_fingerprint,
 )
 from repro.core.config import SimulationConfig
-from repro.core.engine import (
-    EvaluationEngine,
-    builder_key,
-    observe_passes,
-    resolve_architecture,
-)
+from repro.core.engine import EvaluationEngine, builder_key, resolve_architecture
+from repro.core.observe import Timing, observe
 from repro.dataflow.gemm import GEMMWorkload
 from repro.exec import (
     ExecutionBackend,
-    PassTiming,
     ShmHandle,
     WorkerTelemetry,
     applied_env_snapshot,
@@ -74,7 +68,6 @@ from repro.exec import (
     repro_env_snapshot,
     resolve_backend,
     scoped_pass_observer,
-    shm_enabled,
 )
 from repro.explore.search import SearchStrategy, resolve_strategy
 from repro.onn.workload import LayerWorkload
@@ -208,7 +201,7 @@ class ExplorationResult:
     #: Wall-clock spent in each engine pass during this exploration (merged
     #: across workers under the process backend), so backend speedups are
     #: attributable pass by pass.
-    pass_timings: Dict[str, PassTiming] = field(default_factory=dict)
+    pass_timings: Dict[str, Timing] = field(default_factory=dict)
 
     def __len__(self) -> int:
         return len(self.points)
@@ -297,10 +290,10 @@ class _DesignTaskContext:
     builder: ArchBuilder
     base_config: ArchitectureConfig
     sim_config: SimulationConfig
-    #: Either the workload tuple itself or a :class:`ShmHandle` naming a
-    #: shared-memory segment holding its pickle (zero-copy fan-out: N workers
-    #: attach one segment instead of receiving N pickled operand copies).
-    workloads: Union[Tuple[object, ...], ShmHandle]
+    #: A :class:`ShmHandle` naming the pickled workload tuple: a shared-memory
+    #: segment (zero-copy fan-out: N workers attach one segment instead of
+    #: receiving N pickled operand copies), or inline bytes when small.
+    workloads: ShmHandle
     cache_enabled: bool
     cache_max_entries: Optional[int]
     accuracy: Optional[AccuracyRequest] = None
@@ -359,7 +352,7 @@ def _evaluate_design_task(
     cache = explorer.cache
     stats_before = cache_stats_snapshot(cache)
     telemetry = WorkerTelemetry()
-    with applied_env_snapshot(shared.env), observe_passes(
+    with applied_env_snapshot(shared.env), observe(
         scoped_pass_observer(cache, telemetry)
     ):
         point = explorer.evaluate(dict(overrides))
@@ -535,11 +528,9 @@ class DesignSpaceExplorer:
             if self.accuracy is not None
             else None
         )
-        workloads: Union[Tuple[object, ...], ShmHandle] = tuple(self.workloads)
-        if shm_enabled():
-            # Operand tensors dominate the context payload; publish them once
-            # so every worker task ships a digest instead of the pickle.
-            workloads = publish_object(workloads)
+        # Operand tensors dominate the context payload; publish them once so
+        # every worker task ships a digest instead of the pickle.
+        workloads = publish_object(tuple(self.workloads))
         return _DesignTaskContext(
             key=key,
             builder=self.builder,
@@ -587,7 +578,7 @@ class DesignSpaceExplorer:
         telemetry = WorkerTelemetry()
         # Count only this explorer's engines (scoped by cache identity), so
         # concurrent explorers or an enclosing batch runner stay unaffected.
-        observe = scoped_pass_observer(self.cache, telemetry, lock=threading.Lock())
+        count_pass = scoped_pass_observer(self.cache, telemetry, lock=threading.Lock())
 
         def record_batch(batch_points: List[DesignPoint]) -> None:
             for point in batch_points:
@@ -602,7 +593,7 @@ class DesignSpaceExplorer:
         # One backend session for the whole exploration: pools (and the process
         # workers' memoized explorers/caches) persist across strategy rounds,
         # so feedback-driven strategies don't pay pool startup per batch.
-        with observe_passes(observe), exec_backend.session():
+        with observe(count_pass), exec_backend.session():
             while True:
                 batch = search.propose(space, history)
                 if not batch:

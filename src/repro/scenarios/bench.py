@@ -13,8 +13,8 @@ Schema ``repro-bench/2`` makes every timing block self-describing:
   ``REPRO_MC_JOBS``) so entries from different modes are never compared
   apples-to-oranges;
 - ``stages_s`` / ``stage_fractions`` attribute the Monte Carlo wall-clock to
-  the rng / forward / quantize / metrics stages
-  (:mod:`repro.variation.stages`), recording where the *next* ceiling is.
+  the rng / forward / quantize / metrics stages (the non-pass events of
+  :mod:`repro.core.observe`), recording where the *next* ceiling is.
 
 A scenario can be timed along three axes: the legacy ``REPRO_FORWARD=loop``
 path (``compare_loop`` -> ``speedup_median``, the regression gate CI's
@@ -39,9 +39,9 @@ from typing import Any, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.core.cache import EvaluationCache
-from repro.core.engine import observe_passes
 from repro.core.knobs import forced_env as _forced_env
 from repro.core.knobs import raw_value as _knob_raw
+from repro.core.observe import observe, stage_totals
 from repro.exec.backends import available_cpus
 from repro.onn.layers import (
     DTYPE_MODE_ENV,
@@ -51,7 +51,6 @@ from repro.onn.layers import (
 )
 from repro.scenarios.registry import REGISTRY
 from repro.variation.sampler import RNG_MODE_ENV, rng_mode
-from repro.variation.stages import StageAccumulator, observe_stages
 
 #: Schema tag embedded in every report, bumped on incompatible layout changes.
 BENCH_SCHEMA = "repro-bench/2"
@@ -175,7 +174,7 @@ def time_scenario(
     times: List[float] = []
     passes = 0
     stats: Dict[str, Dict[str, float]] = {}
-    stage_totals = StageAccumulator()
+    stages_s: Dict[str, float] = {}
     with _forced_env(FORWARD_MODE_ENV, mode), _forced_env(
         RNG_MODE_ENV, rng
     ), _forced_env(DTYPE_MODE_ENV, dtype):
@@ -187,24 +186,20 @@ def time_scenario(
             cache = EvaluationCache()
             pass_count = 0
 
-            def count(stage: str, engine: object) -> None:
+            def count(stage: str, seconds: float, engine: Any) -> None:
                 nonlocal pass_count
-                if getattr(engine, "cache", None) is cache:
+                if engine is not None and engine.cache is cache:
                     pass_count += 1
 
-            timed = round_index >= warmup
-            with contextlib.ExitStack() as stack:
-                stack.enter_context(observe_passes(count))
-                if timed:
-                    # Stage observation only on timed rounds: identical
-                    # instrumentation overhead in every mode's numbers.
-                    stack.enter_context(observe_stages(stage_totals))
+            with observe(count), stage_totals() as round_stages:
                 start = time.perf_counter()
                 REGISTRY.run(name, params=params, cache=cache, store=None, force=True)
                 elapsed = time.perf_counter() - start
-            if timed:
+            if round_index >= warmup:
                 times.append(elapsed)
                 passes = pass_count
+                for stage, seconds in round_stages.items():
+                    stages_s[stage] = stages_s.get(stage, 0.0) + seconds
                 stats = {
                     stage: {
                         "hits": stat.hits,
@@ -215,7 +210,7 @@ def time_scenario(
                 }
     return BenchTiming.from_times(
         mode_label, warmup, times, passes, stats, knobs=knobs,
-        stages_s=stage_totals.totals(),
+        stages_s=stages_s,
     )
 
 
@@ -387,14 +382,10 @@ def bench_cluster_scaling(
     return block
 
 
-#: The dispatch configurations ``bench_dispatch_comparison`` times, in order:
-#: the pre-warm-pool baseline, the persistent pool alone, and the pool plus
-#: shared-memory task transport.
-DISPATCH_MODES: Tuple[Tuple[str, str, str], ...] = (
-    ("cold", "cold", "off"),
-    ("warm", "warm", "off"),
-    ("warm_shm", "warm", "on"),
-)
+#: The ``REPRO_POOL`` configurations ``bench_dispatch_comparison`` times, in
+#: order: the pre-warm-pool baseline, then the persistent pool.  Both ship
+#: large payloads through shared memory.
+DISPATCH_MODES: Tuple[str, ...] = ("cold", "warm")
 
 
 def bench_dispatch_comparison(
@@ -408,15 +399,13 @@ def bench_dispatch_comparison(
 ) -> Dict[str, Any]:
     """Time one scenario serially and under each process-dispatch configuration.
 
-    Pins ``REPRO_MC_BACKEND=processes`` and sweeps ``(REPRO_POOL, REPRO_SHM)``
-    through :data:`DISPATCH_MODES`: the cold-pool baseline pays executor
-    spin-up on every run, ``warm`` reuses one persistent pool across the timed
-    repeats (the warmup round absorbs the one-time spin-up), and ``warm_shm``
-    additionally ships task arrays as shared-memory digests instead of
-    pickles.  Every entry records ``speedup_vs_serial_median`` against the
-    same-knobs serial baseline and ``dispatch_overhead_s`` -- the ``dispatch``
-    stage total: backend wall-clock not attributable to any worker compute
-    stage (spin-up, pickling, IPC, idle gaps).  Warm pools are stopped between
+    Pins ``REPRO_MC_BACKEND=processes`` and sweeps ``REPRO_POOL`` through
+    :data:`DISPATCH_MODES`: the cold-pool baseline pays executor spin-up on
+    every run, ``warm`` reuses one persistent pool across the timed repeats
+    (the warmup round absorbs the one-time spin-up).  Every entry records
+    ``speedup_vs_serial_median`` against the same-knobs serial baseline and
+    ``dispatch_overhead_s``, the mode's median minus the serial median: what
+    the process backend costs end to end.  Warm pools are stopped between
     modes so each configuration measures exactly the fleet it claims.
     """
     from repro.exec.pool import stop_pools
@@ -431,7 +420,7 @@ def bench_dispatch_comparison(
         "serial": asdict(serial),
         "dispatch": {},
     }
-    for label, pool, shm in DISPATCH_MODES:
+    for pool in DISPATCH_MODES:
         stop_pools()
         try:
             with contextlib.ExitStack() as stack:
@@ -439,7 +428,6 @@ def bench_dispatch_comparison(
                 if jobs is not None:
                     stack.enter_context(_forced_env("REPRO_MC_JOBS", str(jobs)))
                 stack.enter_context(_forced_env("REPRO_POOL", pool))
-                stack.enter_context(_forced_env("REPRO_SHM", shm))
                 timing = time_scenario(
                     name, repeats=repeats, warmup=warmup, params=params,
                     mode="vectorized", rng=rng, dtype=dtype,
@@ -448,12 +436,11 @@ def bench_dispatch_comparison(
             stop_pools()
         entry = asdict(timing)
         entry["pool"] = pool
-        entry["shm"] = shm
         entry["speedup_vs_serial_median"] = (
             serial.median_s / timing.median_s if timing.median_s > 0 else 0.0
         )
-        entry["dispatch_overhead_s"] = float(timing.stages_s.get("dispatch", 0.0))
-        block["dispatch"][label] = entry
+        entry["dispatch_overhead_s"] = timing.median_s - serial.median_s
+        block["dispatch"][pool] = entry
     return block
 
 

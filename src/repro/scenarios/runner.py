@@ -15,7 +15,7 @@ The :class:`BatchRunner` is the engine room behind ``python -m repro batch``:
   byte-identical across backends.
 
 Pass accounting is per-runner: each runner counts only the passes of engines
-bound to *its* evaluation cache (via :func:`repro.core.engine.observe_passes`),
+bound to *its* evaluation cache (via :func:`repro.core.observe.observe`),
 so concurrent runners -- or a runner inside an observed test -- never
 cross-contaminate each other's ``engine_passes``.  Under the process backend
 each worker counts its own share and the parent merges the telemetry.
@@ -30,11 +30,10 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.cache import CacheStats, EvaluationCache
-from repro.core.engine import observe_passes
+from repro.core.observe import Timing, observe
 from repro.core.report import format_table
 from repro.exec import (
     ExecutionBackend,
-    PassTiming,
     WorkerTelemetry,
     applied_env_snapshot,
     cache_stats_delta,
@@ -88,7 +87,7 @@ class BatchReport:
     cache: Optional[EvaluationCache] = None
     backend: str = "serial"
     jobs: int = 1
-    pass_timings: Dict[str, PassTiming] = field(default_factory=dict)
+    pass_timings: Dict[str, Timing] = field(default_factory=dict)
     cache_stats: Dict[str, CacheStats] = field(default_factory=dict)
 
     @property
@@ -179,7 +178,7 @@ def _run_batch_task(shared: _ProcessBatchContext, name: str) -> _BatchTaskOutcom
     stats_before = cache_stats_snapshot(cache)
     telemetry = WorkerTelemetry()
     start = time.perf_counter()
-    with applied_env_snapshot(shared.env), observe_passes(
+    with applied_env_snapshot(shared.env), observe(
         scoped_pass_observer(cache, telemetry)
     ):
         try:
@@ -270,7 +269,7 @@ class BatchRunner:
         # when other runners (or observed tests) execute concurrently.
         count_pass = scoped_pass_observer(self.cache, telemetry, lock=threading.Lock())
 
-        with observe_passes(count_pass):
+        with observe(count_pass):
             items = self.backend.map_tasks(
                 lambda _shared, name: self._run_one(name), names
             )

@@ -11,8 +11,6 @@ then stands next to energy / latency / area as a first-class objective:
   in two modes: the bit-exact SeedSequence contract (default) and the
   counter-based ``REPRO_RNG=philox`` throughput mode;
 - :mod:`repro.variation.accuracy`   -- noisy functional forward + accuracy/error metrics;
-- :mod:`repro.variation.stages`     -- per-stage (rng/forward/quantize/metrics)
-  wall-clock attribution for the bench harness;
 - :mod:`repro.variation.montecarlo` -- trial fan-out over ``repro.exec`` backends,
   the :class:`AccuracyRequest` study record and the engine-integrated
   :func:`evaluate_accuracy` entry point.
@@ -61,12 +59,6 @@ from repro.variation.sampler import (
     trial_rngs,
     trial_seed_sequence,
 )
-from repro.variation.stages import (
-    STAGE_NAMES,
-    StageAccumulator,
-    observe_stages,
-    stage,
-)
 
 __all__ = [
     "AccuracyReport",
@@ -80,8 +72,6 @@ __all__ = [
     "TrialResult",
     "VariationModel",
     "WeightEncodingError",
-    "STAGE_NAMES",
-    "StageAccumulator",
     "classification_agreement",
     "classification_agreement_batch",
     "evaluate_accuracy",
@@ -89,7 +79,6 @@ __all__ = [
     "model_fingerprint",
     "noisy_forward",
     "noisy_forward_batch",
-    "observe_stages",
     "output_rmse",
     "output_rmse_batch",
     "philox_fused_normals",
@@ -97,7 +86,6 @@ __all__ = [
     "reference_forward",
     "rng_mode",
     "run_monte_carlo",
-    "stage",
     "standard_noise",
     "trial_rng",
     "trial_rngs",

@@ -25,6 +25,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.core.cache import digest, memoized_fingerprint
+from repro.core.observe import timed
 from repro.onn.layers import Module, Sequential, _as_float, _match_dtype, compute_dtype
 from repro.onn.quantize import (
     quantize_uniform,
@@ -32,7 +33,6 @@ from repro.onn.quantize import (
     receiver_limited_bits,
 )
 from repro.variation.models import IDEAL, NoiseSpec
-from repro.variation.stages import stage
 
 #: RNG used for noise-free reference passes (an empty spec draws nothing).
 _NULL_RNG = np.random.default_rng(0)
@@ -204,7 +204,7 @@ def _forward_trial_group(
     weight noise, only the slab's per-layer slices.
     """
     dtype = compute_dtype()
-    with stage("quantize"):
+    with timed("quantize"):
         xq = quantize_uniform(x, in_bits)
     xq = _match_dtype(xq, dtype)
     if weight_draws is not None:
@@ -216,19 +216,19 @@ def _forward_trial_group(
     else:
         assert rngs is not None
         trials = len(rngs)
-        with stage("rng"):
+        with timed("rng"):
             fused = _fused_draws(spec, rngs, _weighted_layer_sizes(model))
     batch = np.broadcast_to(xq, (trials,) + xq.shape)
     weighted_index = 0
     for layer in _forward_layers(model):
         weight = getattr(layer, "weight", None)
         if weight is None:
-            with stage("forward"):
+            with timed("forward"):
                 batch = layer.forward_batch(batch)
             continue
         base = layer.effective_weight() if hasattr(layer, "effective_weight") else weight
         base = _match_dtype(base, dtype)
-        with stage("forward"):
+        with timed("forward"):
             if fused is not None:
                 block = _match_dtype(fused[weighted_index], dtype)
                 stacked = np.broadcast_to(base, (trials,) + base.shape)
@@ -240,12 +240,12 @@ def _forward_trial_group(
         if mask is not None:
             # Pruned devices are powered off: they stay exactly zero under noise.
             perturbed = np.where(mask, perturbed, 0.0)
-        with stage("quantize"):
+        with timed("quantize"):
             perturbed = quantize_uniform_batch(perturbed, w_bits)
-        with stage("forward"):
+        with timed("forward"):
             batch = layer.forward_batch(batch, weight=perturbed)
             batch = spec.perturb_activations_batch(batch, rngs)
-        with stage("quantize"):
+        with timed("quantize"):
             batch = quantize_uniform_batch(batch, out_bits)
     return _as_float(batch)
 

@@ -19,13 +19,13 @@ from __future__ import annotations
 
 import dataclasses
 import math
-import time
 from dataclasses import dataclass, field
-from typing import Any, Callable, List, Optional, Sequence, Tuple, Union
+from typing import Any, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from repro.core.cache import digest, memoized_fingerprint
+from repro.core.observe import timed
 from repro.core.snr import SNRAnalyzer, SNRReport
 from repro.exec import (
     ShmHandle,
@@ -35,7 +35,6 @@ from repro.exec import (
     publish_array,
     publish_object,
     resolve_backend,
-    shm_enabled,
     steal_partition,
 )
 from repro.onn.layers import (
@@ -63,13 +62,6 @@ from repro.variation.accuracy import (
 from repro.variation.models import NoiseSpec
 from repro.variation.sampler import make_trial_rng, philox_fused_normals
 from repro.variation.sampler import rng_mode as active_rng_mode
-from repro.variation.stages import (
-    StageAccumulator,
-    emit,
-    observe_stages,
-    stage,
-    stages_active,
-)
 
 
 #: Upper bound on trials per batched chunk: large enough to amortize the
@@ -180,7 +172,7 @@ class AccuracyRequest:
 class _TrialContext:
     """Picklable task-invariant payload shipped once per worker chunk.
 
-    Under task-shipping backends with ``REPRO_SHM=on``, the bulky fields
+    Under task-shipping backends the bulky fields
     (``model``, ``inputs``, ``reference``) are :class:`~repro.exec.ShmHandle`
     references to payloads published once per host instead of per-chunk
     pickled copies; workers materialize them via :func:`_materialized`
@@ -320,7 +312,7 @@ def _run_trial_chunk(shared: _TrialContext, trials: List[int]) -> List[TrialResu
 def _run_trial_chunk_pinned(
     shared: _TrialContext, trials: List[int]
 ) -> List[TrialResult]:
-    with stage("rng"):
+    with timed("rng"):
         rngs = [make_trial_rng(shared.seed, trial, shared.rng_mode) for trial in trials]
         losses = [shared.spec.sample_loss_db(rng) for rng in rngs]
     effective = _effective_bits_for(shared, losses)
@@ -335,7 +327,7 @@ def _run_trial_chunk_pinned(
             output_bits=shared.output_bits,
             effective_bits=effective,
         )
-    with stage("metrics"):
+    with timed("metrics"):
         accuracies = classification_agreement_batch(outputs, shared.reference)
         rmses = output_rmse_batch(outputs, shared.reference)
         return [
@@ -386,7 +378,7 @@ def _run_philox_chunk(
     shared = _materialized(shared)
     trials, draws = task
     if isinstance(draws, _SlabRows):
-        with stage("rng"):
+        with timed("rng"):
             task = (trials, draws.resolve())
     with pinned_modes(shared.forward_mode, shared.dtype_mode):
         return _run_philox_chunk_pinned(shared, task)
@@ -397,7 +389,7 @@ def _run_philox_chunk_pinned(
 ) -> List[TrialResult]:
     trials, draws = task
     loss_columns = shared.spec.loss_draw_count()
-    with stage("rng"):
+    with timed("rng"):
         loss_array = shared.spec.sample_loss_db_batch(draws[:, :loss_columns])
     losses = [float(v) for v in loss_array]
     if shared.link is None:
@@ -416,7 +408,7 @@ def _run_philox_chunk_pinned(
             effective_bits=effective,
             weight_draws=draws[:, loss_columns:],
         )
-    with stage("metrics"):
+    with timed("metrics"):
         accuracies = classification_agreement_batch(outputs, shared.reference)
         rmses = output_rmse_batch(outputs, shared.reference)
         return [
@@ -429,27 +421,6 @@ def _run_philox_chunk_pinned(
             )
             for i, trial in enumerate(trials)
         ]
-
-
-def _observed_dispatch(dispatch: Callable[[], Any]) -> Any:
-    """Run a backend dispatch, attributing unexplained wall-clock to ``dispatch``.
-
-    With stage observers registered, the compute stages (rng/forward/quantize/
-    metrics) reach the parent either inline (serial/threads) or as shipped
-    worker totals (processes/cluster); whatever part of the dispatch wall-clock
-    those stages do *not* explain is the execution layer's own overhead --
-    pool spin-up, pickling, IPC, scheduling gaps -- and is emitted as the
-    ``dispatch`` stage so bench records show exactly what a backend costs.
-    """
-    if not stages_active():
-        return dispatch()
-    attributed = StageAccumulator()
-    start = time.perf_counter()
-    with observe_stages(attributed):
-        result = dispatch()
-    overhead = (time.perf_counter() - start) - sum(attributed.totals().values())
-    emit("dispatch", max(0.0, overhead))
-    return result
 
 
 def run_monte_carlo(
@@ -510,7 +481,7 @@ def run_monte_carlo(
         dtype_mode=dt_mode,
     )
     backend = resolve_backend(request.backend, request.jobs)
-    if backend.ships_tasks and shm_enabled():
+    if backend.ships_tasks:
         # Zero-copy transport: the model/inputs/reference travel as
         # content-addressed handles; workers resolve (and cache) them once
         # per host instead of unpickling per-chunk copies.
@@ -518,10 +489,8 @@ def run_monte_carlo(
     if fwd_mode == "loop":
         # Legacy reference path: one task per trial, full model clone each.
         with backend.session():
-            results = _observed_dispatch(
-                lambda: backend.map_tasks(
-                    _run_trial, list(range(request.trials)), shared=shared
-                )
+            results = backend.map_tasks(
+                _run_trial, list(range(request.trials)), shared=shared
             )
     else:
         # Trial-batched path: shard the trial axis into contiguous chunks,
@@ -567,7 +536,7 @@ def run_monte_carlo(
                     for chunk in chunks
                 ]
             else:
-                with stage("rng"):
+                with timed("rng"):
                     slab = philox_fused_normals(
                         request.seed, request.trials, draws, dtype=dtype.type
                     )
@@ -575,14 +544,10 @@ def run_monte_carlo(
                     (chunk, slab[chunk[0] : chunk[-1] + 1]) for chunk in chunks
                 ]
             with backend.session():
-                nested = _observed_dispatch(
-                    lambda: backend.map_tasks(_run_philox_chunk, tasks, shared=shared)
-                )
+                nested = backend.map_tasks(_run_philox_chunk, tasks, shared=shared)
         else:
             with backend.session():
-                nested = _observed_dispatch(
-                    lambda: backend.map_tasks(_run_trial_chunk, chunks, shared=shared)
-                )
+                nested = backend.map_tasks(_run_trial_chunk, chunks, shared=shared)
         results = [result for chunk_results in nested for result in chunk_results]
     return aggregate_trials(
         tuple(results),

@@ -20,6 +20,7 @@ import time
 import numpy as np
 import pytest
 
+from repro.core.observe import observe
 from repro.exec import (
     ClusterBackend,
     ClusterTaskError,
@@ -289,6 +290,53 @@ class TestClusterDeterminism:
         # Worker telemetry merged back exactly as the process backend does.
         assert cluster_report.pass_timings
         assert cluster_report.cache_stats
+
+
+class TestWorkerStageTotals:
+    """Stages timed in a worker reach the parent's observer as shipped totals.
+
+    In the default seedseq mode the parent times no stage itself, so every
+    total observed here crossed the process (or host) boundary.
+    """
+
+    @staticmethod
+    def _observed_stages(request):
+        totals = {}
+
+        def record(name, seconds, engine):
+            if engine is None:
+                totals[name] = totals.get(name, 0.0) + seconds
+
+        with observe(record):
+            run_monte_carlo(request)
+        return totals
+
+    def _assert_complete(self, totals):
+        for name in ("rng", "forward", "quantize", "metrics"):
+            assert totals.get(name, 0.0) > 0.0, name
+        assert "dispatch" not in totals
+
+    def test_process_workers_ship_their_stages(self, mc_model, mc_inputs):
+        request = AccuracyRequest(
+            mc_model, mc_inputs, noise=standard_noise(), trials=12, seed=7,
+            backend="processes", jobs=2,
+        )
+        self._assert_complete(self._observed_stages(request))
+
+    def test_cluster_workers_ship_their_stages(self, mc_model, mc_inputs):
+        coord = coordinator_for("127.0.0.1", 0)
+        processes = _spawn(coord, 2)
+        try:
+            coord.wait_for_workers(2, 60.0)
+            totals = self._observed_stages(
+                AccuracyRequest(
+                    mc_model, mc_inputs, noise=standard_noise(), trials=12,
+                    seed=7, backend=_backend(coord),
+                )
+            )
+        finally:
+            _reap(coord, processes)
+        self._assert_complete(totals)
 
 
 # -- mode pinning (the env-propagation satellite) --------------------------------------

@@ -7,7 +7,7 @@ The satellite guarantees of the backend subsystem:
 - concurrent writers (threads *and* processes) never publish a torn artifact
   into one :class:`~repro.scenarios.store.ResultStore`;
 - pass counting is per-runner (scoped by cache identity), so concurrent
-  runners or an enclosing ``observe_passes`` block never cross-contaminate;
+  runners or an enclosing ``observe`` block never cross-contaminate;
 - validation errors (bad ``--jobs``, unknown ``--backend``, NaN objectives,
   unpicklable process tasks) are loud and actionable.
 """
@@ -23,10 +23,9 @@ import pytest
 
 from repro.cli import main
 from repro.core.cache import EvaluationCache
-from repro.core.engine import observe_passes
+from repro.core.observe import Timing, observe
 from repro.exec import (
     BACKENDS,
-    PassTiming,
     ProcessBackend,
     SerialBackend,
     ThreadBackend,
@@ -216,8 +215,8 @@ class TestResolveBackend:
 
 class TestTelemetryMerging:
     def test_merge_pass_timings(self):
-        a = {"map": PassTiming(count=2, total_s=0.5)}
-        b = {"map": PassTiming(count=1, total_s=0.25), "area": PassTiming(1, 0.1)}
+        a = {"map": Timing(count=2, total_s=0.5)}
+        b = {"map": Timing(count=1, total_s=0.25), "area": Timing(1, 0.1)}
         merged = merge_pass_timings([a, b])
         assert merged["map"].count == 3
         assert merged["map"].total_s == pytest.approx(0.75)
@@ -234,9 +233,9 @@ class TestTelemetryMerging:
     def test_merge_pass_timings_is_associative_and_order_independent(self):
         """Cluster merges fold telemetry in worker-completion order, which is
         nondeterministic -- the merge must not care how deltas are grouped."""
-        a = {"map": PassTiming(count=2, total_s=0.5)}
-        b = {"map": PassTiming(count=1, total_s=0.25), "area": PassTiming(1, 0.1)}
-        c = {"area": PassTiming(count=3, total_s=0.3), "link": PassTiming(2, 0.2)}
+        a = {"map": Timing(count=2, total_s=0.5)}
+        b = {"map": Timing(count=1, total_s=0.25), "area": Timing(1, 0.1)}
+        c = {"area": Timing(count=3, total_s=0.3), "link": Timing(2, 0.2)}
 
         def flatten(timings):
             return {k: (v.count, pytest.approx(v.total_s)) for k, v in timings.items()}
@@ -317,7 +316,7 @@ class TestScopedPassObservation:
 
     def test_runner_inside_observed_block_keeps_its_own_count(self):
         seen_by_outer = []
-        with observe_passes(lambda stage, engine: seen_by_outer.append(stage)):
+        with observe(lambda stage, seconds, engine: seen_by_outer.append(stage)):
             report = BatchRunner(store=None).run(["fig7_tempo_validation"])
         assert report.engine_passes == 7
         # The outer observer still sees everything (it chose not to filter).
@@ -326,15 +325,15 @@ class TestScopedPassObservation:
     def test_stacked_registration_of_the_same_callback(self):
         events = []
 
-        def cb(stage, engine):
+        def cb(stage, seconds, engine):
             events.append(stage)
 
         from repro.arch.templates import build_tempo
         from repro.core.engine import EvaluationEngine
         from repro.dataflow.gemm import GEMMWorkload
 
-        with observe_passes(cb):
-            with observe_passes(cb):
+        with observe(cb):
+            with observe(cb):
                 EvaluationEngine(
                     build_tempo(), cache=EvaluationCache(enabled=False)
                 ).run(GEMMWorkload("g", m=8, k=8, n=8))
@@ -347,7 +346,7 @@ class TestScopedPassObservation:
 
     def test_observer_timing_argument(self):
         timed = []
-        with observe_passes(lambda stage, engine, elapsed_s: timed.append((stage, elapsed_s))):
+        with observe(lambda stage, elapsed_s, engine: timed.append((stage, elapsed_s))):
             from repro.arch.templates import build_tempo
             from repro.core.engine import EvaluationEngine
             from repro.dataflow.gemm import GEMMWorkload

@@ -7,7 +7,7 @@ import json
 import pytest
 
 from repro.core.cache import EvaluationCache
-from repro.core.engine import observe_passes
+from repro.core.observe import observe
 from repro.scenarios import (
     REGISTRY,
     BatchRunner,
@@ -248,7 +248,7 @@ class TestEnginePassObserver:
         from repro.dataflow.gemm import GEMMWorkload
 
         seen = []
-        with observe_passes(lambda name, engine: seen.append(name)):
+        with observe(lambda name, seconds, engine: seen.append(name)):
             EvaluationEngine(build_tempo(), cache=EvaluationCache(enabled=False)).run(
                 GEMMWorkload("g", m=8, k=8, n=8)
             )

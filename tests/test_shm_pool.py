@@ -117,8 +117,7 @@ def _thread_workers(coord, count):
 class TestShmTransport:
     def test_small_payloads_ship_inline(self):
         array = np.arange(64, dtype=np.float64)
-        with forced_env("REPRO_SHM", "on"):
-            handle = publish_array(array)
+        handle = publish_array(array)
         assert isinstance(handle, ShmHandle)
         assert handle.inline is not None
         assert active_segments() == []
@@ -128,13 +127,12 @@ class TestShmTransport:
         array = np.random.default_rng(0).normal(
             size=(INLINE_MAX_BYTES // 8 + 512,)
         )
-        with forced_env("REPRO_SHM", "on"):
-            handle = publish_array(array)
-            assert handle.inline is None
-            assert len(active_segments()) == 1
-            resolved = resolve_array(handle)
-            np.testing.assert_array_equal(resolved, array)
-            assert not resolved.flags.writeable
+        handle = publish_array(array)
+        assert handle.inline is None
+        assert len(active_segments()) == 1
+        resolved = resolve_array(handle)
+        np.testing.assert_array_equal(resolved, array)
+        assert not resolved.flags.writeable
         del resolved
         unlink_all()
         assert active_segments() == []
@@ -142,28 +140,18 @@ class TestShmTransport:
 
     def test_publish_is_content_addressed(self):
         array = np.random.default_rng(1).normal(size=(INLINE_MAX_BYTES // 8 + 16,))
-        with forced_env("REPRO_SHM", "on"):
-            first = publish_array(array)
-            second = publish_array(array.copy())
-            assert first.digest == second.digest
-            assert len(active_segments()) == 1
+        first = publish_array(array)
+        second = publish_array(array.copy())
+        assert first.digest == second.digest
+        assert len(active_segments()) == 1
 
     def test_object_round_trip(self):
         payload = {"spec": (1, 2, 3), "label": "alpha"}
-        with forced_env("REPRO_SHM", "on"):
-            handle = publish_object(payload)
+        handle = publish_object(payload)
         assert resolve_object(handle) == payload
         assert as_object(handle) == payload
         # Non-handles pass through untouched.
         assert as_object(payload) is payload
-
-    def test_shm_off_inlines_everything(self):
-        array = np.zeros(INLINE_MAX_BYTES // 8 + 1024)
-        with forced_env("REPRO_SHM", "off"):
-            handle = publish_array(array)
-        assert handle.inline is not None
-        assert active_segments() == []
-        np.testing.assert_array_equal(as_array(handle), array)
 
 
 class TestShmLeaks:
@@ -182,14 +170,11 @@ class TestShmLeaks:
         )
         try:
             coord.wait_for_workers(2, 60)
-            with forced_env("REPRO_SHM", "on"):
-                handle = publish_array(array)
-                backend = ClusterBackend(jobs=2, host=coord.host, port=coord.port)
-                sentinel = str(tmp_path / "die-once")
-                tasks = [(sentinel if i == 1 else None, i) for i in range(6)]
-                results = backend.map_tasks(
-                    _sum_resolved_or_die, tasks, shared=handle
-                )
+            handle = publish_array(array)
+            backend = ClusterBackend(jobs=2, host=coord.host, port=coord.port)
+            sentinel = str(tmp_path / "die-once")
+            tasks = [(sentinel if i == 1 else None, i) for i in range(6)]
+            results = backend.map_tasks(_sum_resolved_or_die, tasks, shared=handle)
             expected = [float(array.sum()) + i for i in range(6)]
             assert results == pytest.approx(expected)
         finally:
@@ -359,6 +344,6 @@ class TestStragglerDeterminism:
             )
 
         serial = report("serial")
-        with forced_env("REPRO_POOL", "warm"), forced_env("REPRO_SHM", "on"):
+        with forced_env("REPRO_POOL", "warm"):
             warm_shm = report("processes")
         assert warm_shm == serial

@@ -338,14 +338,35 @@ class TestEngineAccuracyPasses:
         assert report.effective_bits_nominal == expected.effective_bits
 
     def test_observer_sees_the_accuracy_passes(self, mc_model, mc_inputs):
-        from repro.core.engine import observe_passes
+        from repro.core.observe import observe
 
         seen = []
-        with observe_passes(lambda name, engine: seen.append(name)):
+
+        def record(name, seconds, engine):
+            if engine is not None:
+                seen.append(name)
+
+        with observe(record):
             EvaluationEngine(build_tempo()).run_accuracy(
                 make_request(mc_model, mc_inputs, trials=2)
             )
         assert seen == ["receiver_precision", "mc_accuracy"]
+
+    def test_one_observer_sees_passes_and_monte_carlo_stages(self, mc_model, mc_inputs):
+        from repro.core.observe import observe
+
+        passes, stages = [], []
+
+        def record(name, seconds, engine):
+            (stages if engine is None else passes).append(name)
+
+        with observe(record):
+            EvaluationEngine(build_tempo()).run_accuracy(
+                make_request(mc_model, mc_inputs, trials=2)
+            )
+        assert passes == ["receiver_precision", "mc_accuracy"]
+        assert {"rng", "forward", "quantize", "metrics"} <= set(stages)
+        assert "dispatch" not in stages
 
 
 # -- DSE integration --------------------------------------------------------------------
