@@ -8,8 +8,8 @@ pytest-benchmark harness and persists the tables to ``benchmarks/results/``.
 
 ``dse_scaling`` measures what the shared pass cache buys within one process;
 ``dse_backend_scaling`` measures what the process backend buys *across* GILs on
-the 192-point ``dse_large_grid`` sweep (``REPRO_BACKEND_JOBS`` sizes the worker
-pools).  The timing tables are wall-clock and therefore not byte-reproducible
+the 192-point ``dse_large_grid`` sweep (its ``jobs`` param sizes the worker
+pools: ``python -m repro run dse_backend_scaling --param jobs=4``).  The timing tables are wall-clock and therefore not byte-reproducible
 (both scenarios are registered with ``deterministic=False``); the large-grid
 table itself is byte-identical under every backend.
 """

@@ -619,7 +619,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_batch.add_argument("--backend", choices=sorted(BACKENDS), default=None,
                          help="execution backend for fresh scenarios: 'serial', "
                               "'threads' (shared cache, GIL-bound), 'processes' "
-                              "(GIL-free worker pool) or 'cluster' (TCP workers "
+                              "(GIL-free warm worker pool, kept alive across "
+                              "dispatches) or 'cluster' (TCP workers "
                               "started with `repro worker`; see README). All "
                               "backends are byte-identical to a serial run. "
                               "Default: serial, or threads when --jobs N is "
@@ -680,11 +681,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--compare-dispatch", nargs="?", metavar="SCENARIO",
                          const="variation_robustness", default=None,
                          help="additionally time SCENARIO (default: "
-                              "variation_robustness) on the process backend "
-                              "under cold-pool and warm-pool dispatch and "
-                              "record medians plus dispatch overhead (mode "
-                              "median minus serial median) in the report's "
-                              "dispatch_comparison block")
+                              "variation_robustness; it must take backend/jobs "
+                              "params) serially and on the warm process pool "
+                              "and record medians plus dispatch overhead "
+                              "(process median minus serial median) in the "
+                              "report's dispatch_comparison block")
     p_bench.add_argument("--fail-below-dispatch", type=float, default=None,
                          metavar="FACTOR",
                          help="exit non-zero when the warm-pool process-backend "
@@ -716,7 +717,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_pool = sub.add_parser(
         "pool",
         help="inspect or stop this process's warm worker pools "
-             "(REPRO_POOL=warm keeps process pools alive between batches)",
+             "(the process backend keeps its pools alive between dispatches)",
     )
     p_pool.add_argument("action", nargs="?", choices=("status", "stop"),
                         default="status",

@@ -257,26 +257,8 @@ register(
     description="Override the Monte Carlo trial count of variation scenarios.",
 )
 register(
-    "REPRO_MC_BACKEND",
-    description="Execution backend for Monte Carlo trials (results are "
-    "backend-invariant by construction).",
-)
-register(
-    "REPRO_MC_JOBS",
-    type="int",
-    description="Worker count for the Monte Carlo execution backend.",
-)
-register(
     "REPRO_STORE",
     description="Result-store directory for the repro CLI and batch runner.",
-)
-register(
-    "REPRO_POOL",
-    default="cold",
-    choices=("warm", "cold"),
-    description="Process-pool lifecycle: cold (default) builds and tears down "
-    "a pool per session, warm keeps a named reusable pool alive across "
-    "dispatches (stop it with `repro pool stop`).",
 )
 register(
     "REPRO_POOL_IDLE_S",
@@ -334,33 +316,8 @@ register(
     description="Scenario override: workload seed of the ablation experiment.",
 )
 register(
-    "REPRO_DSE_BACKEND",
-    description="Scenario override: execution backend for DSE sweeps.",
-)
-register(
-    "REPRO_DSE_JOBS",
-    type="int",
-    description="Scenario override: worker count for DSE sweeps.",
-)
-register(
-    "REPRO_BACKEND_JOBS",
-    type="int",
-    description="Scenario override: worker count of the backend-scaling bench.",
-)
-register(
     "REPRO_PRECISION_BITS",
     affects_numerics=True,
     description="Scenario override: precision-bits diagonal of the "
     "accuracy-vs-precision sweep.",
-)
-register(
-    "REPRO_PARETO_BACKEND",
-    description="Scenario override: execution backend of the accuracy/energy "
-    "Pareto sweep.",
-)
-register(
-    "REPRO_PARETO_JOBS",
-    type="int",
-    description="Scenario override: worker count of the accuracy/energy "
-    "Pareto sweep.",
 )

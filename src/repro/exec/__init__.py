@@ -6,8 +6,8 @@ scenario runner and the design-space explorer both consume
 {serial,threads,processes,cluster} --jobs N`` means the same thing everywhere.
 Alongside the backends:
 
-- :mod:`~repro.exec.pool` keeps warm process pools alive across dispatches
-  (``REPRO_POOL=warm``);
+- :mod:`~repro.exec.pool` keeps the process backend's warm pools alive
+  across dispatches (its one pool lifecycle);
 - :mod:`~repro.exec.shm` ships large payloads as content-addressed
   shared-memory handles, inline below 64 KiB or where shared memory is
   unavailable;
@@ -36,7 +36,7 @@ from repro.exec.backends import (
     resolve_backend,
     steal_partition,
 )
-from repro.exec.pool import pool_mode, pool_status, stop_pools
+from repro.exec.pool import pool_status, stop_pools
 from repro.exec.shm import (
     ShmHandle,
     active_segments,
@@ -93,7 +93,6 @@ __all__ = [
     "merge_cache_stats",
     "merge_pass_timings",
     "parse_address",
-    "pool_mode",
     "pool_status",
     "publish_array",
     "publish_object",

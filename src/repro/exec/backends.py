@@ -9,8 +9,9 @@ hand-rolling its own ``ThreadPoolExecutor`` plumbing:
 - :class:`ThreadBackend` spreads tasks over a thread pool -- cheap to start and
   able to share live objects (caches, engines), but every pure-Python engine
   pass still contends for one GIL;
-- :class:`ProcessBackend` sidesteps the GIL with a process pool.  Tasks and the
-  shared context must be picklable (live engines stay home; consumers encode
+- :class:`ProcessBackend` sidesteps the GIL on the persistent warm process
+  pool of :mod:`repro.exec.pool` (its only lifecycle).  Tasks and the shared
+  context must be picklable (live engines stay home; consumers encode
   specs/overrides/workload data instead), scheduling is chunked so per-task IPC
   amortizes, and results always come back in task order, so a process run is
   byte-identical to a serial one.
@@ -29,11 +30,12 @@ import math
 import os
 import pickle
 import threading
-from concurrent.futures import Executor, ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import Executor, ThreadPoolExecutor
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Type, Union
 
 from repro.core import observe
 from repro.core.knobs import REPRO_ENV_PREFIX, repro_env_snapshot
+from repro.exec.pool import checkout
 
 TaskFn = Callable[[Any, Any], Any]
 
@@ -195,6 +197,7 @@ class ExecutionBackend:
 
     def __init__(self) -> None:
         self._pool: Optional[Executor] = None
+        self._release: Optional[Callable[[], None]] = None
         self._session_depth = 0
         self._session_lock = threading.Lock()
 
@@ -202,48 +205,37 @@ class ExecutionBackend:
     def jobs(self) -> int:
         return 1
 
-    def _make_pool(self) -> Optional[Executor]:
-        """The pool a session keeps alive (None for inline backends)."""
+    def _lease(self) -> "Optional[Tuple[Executor, Callable[[], None]]]":
+        """Hook: the ``(executor, release)`` a session binds; None runs inline."""
         return None
-
-    def _acquire_session_pool(self) -> Optional[Executor]:
-        """Hook: the executor an opening session binds (None = run inline).
-
-        The default builds a private pool via :meth:`_make_pool`; backends
-        with external pool lifecycles (the process backend's warm pools)
-        override the acquire/release pair instead of ``session`` itself.
-        """
-        return self._make_pool()
-
-    def _release_session_pool(self, pool: Executor) -> None:
-        """Hook: hand the session's executor back (default: tear it down)."""
-        pool.shutdown(wait=True)
 
     @contextlib.contextmanager
     def session(self):
         """Scope within which pools -- and per-worker state -- persist.
 
         Callers issuing several ``map_tasks`` rounds (e.g. feedback-driven
-        search strategies) wrap them in one session so thread/process pools
-        are created once: worker processes then keep their memoized state
-        (per-worker caches, architecture builds) across rounds instead of
-        paying startup and re-pickling per batch.  Sessions nest; the
-        outermost one owns the pool.  Without a session every ``map_tasks``
-        call builds and tears down its own pool (or, under ``REPRO_POOL=warm``
-        on the process backend, leases the shared warm pool per call).
+        search strategies) wrap them in one session so the executor is bound
+        once: worker processes then keep their memoized state (per-worker
+        caches, architecture builds) across rounds instead of paying startup
+        and re-pickling per batch.  Sessions nest; the outermost one owns the
+        lease.  Without a session the thread backend builds a pool per
+        ``map_tasks`` call and the process backend leases the shared warm pool
+        per call.
         """
         with self._session_lock:
             self._session_depth += 1
             if self._session_depth == 1:
-                self._pool = self._acquire_session_pool()
+                lease = self._lease()
+                if lease is not None:
+                    self._pool, self._release = lease
         try:
             yield self
         finally:
             with self._session_lock:
                 self._session_depth -= 1
-                if self._session_depth == 0 and self._pool is not None:
-                    pool, self._pool = self._pool, None
-                    self._release_session_pool(pool)
+                if self._session_depth == 0 and self._release is not None:
+                    release, self._pool, self._release = self._release, None, None
+                    release()
 
     def map_tasks(
         self, fn: TaskFn, tasks: Sequence[Any], shared: Any = None
@@ -283,8 +275,9 @@ class ThreadBackend(ExecutionBackend):
     def jobs(self) -> int:
         return self._jobs
 
-    def _make_pool(self) -> Executor:
-        return ThreadPoolExecutor(max_workers=self._jobs)
+    def _lease(self) -> "Tuple[Executor, Callable[[], None]]":
+        pool = ThreadPoolExecutor(max_workers=self._jobs)
+        return pool, lambda: pool.shutdown(wait=True)
 
     def map_tasks(
         self, fn: TaskFn, tasks: Sequence[Any], shared: Any = None
@@ -323,68 +316,29 @@ def _run_chunk(
 class ProcessBackend(ExecutionBackend):
     """Process-pool execution with chunked scheduling and ordered results.
 
-    ``chunksize`` bounds scheduling granularity: tasks are shipped in contiguous
-    chunks (default: enough chunks for ~4 rounds per worker) so the per-chunk
-    pickling of the shared context amortizes over many tasks while load still
-    balances.  Results are reassembled in submission order, so the output is
-    positionally identical to :class:`SerialBackend`.
+    Every dispatch leases the persistent warm pool for ``jobs`` workers from
+    :mod:`repro.exec.pool`.  Tasks ship in size-tiered contiguous chunks
+    (:func:`steal_partition`) so the per-chunk pickling of the shared context
+    amortizes over many tasks while load still balances.  Results are
+    reassembled in submission order, so the output is positionally identical
+    to :class:`SerialBackend`.
     """
 
     name = "processes"
     ships_tasks = True
 
-    def __init__(
-        self, jobs: Optional[int] = None, chunksize: Optional[int] = None
-    ) -> None:
+    def __init__(self, jobs: Optional[int] = None) -> None:
         super().__init__()
         self._jobs = _validate_jobs(jobs) or default_jobs()
-        if chunksize is not None and chunksize < 1:
-            raise ValueError(f"chunksize must be a positive integer, got {chunksize!r}")
-        self.chunksize = chunksize
-        self._warm_release: Optional[Callable[[], None]] = None
 
     @property
     def jobs(self) -> int:
         return self._jobs
 
-    def _make_pool(self) -> Executor:
-        return ProcessPoolExecutor(max_workers=self._jobs)
-
-    def _lease_pool(
-        self, limit: Optional[int] = None
-    ) -> "Tuple[Executor, Callable[[], None]]":
-        """``(executor, release)`` honouring the ``REPRO_POOL`` lifecycle knob.
-
-        ``warm`` leases the process-wide persistent pool (created on first
-        use, revalidated against the ``REPRO_*`` snapshot, reaped when idle;
-        always sized ``jobs`` so every lease shares one pool); ``cold`` keeps
-        the historical build-per-scope executor, sized down to ``limit`` when
-        fewer chunks than workers exist.
-        """
-        from repro.exec import pool as warm_pools
-
-        if warm_pools.pool_mode() == "warm":
-            return warm_pools.checkout(self._jobs)
-        workers = self._jobs if limit is None else max(1, min(self._jobs, limit))
-        executor = ProcessPoolExecutor(max_workers=workers)
-        return executor, lambda: executor.shutdown(wait=True)
-
-    def _acquire_session_pool(self) -> Executor:
-        executor, release = self._lease_pool()
-        self._warm_release = release
-        return executor
-
-    def _release_session_pool(self, pool: Executor) -> None:
-        release, self._warm_release = self._warm_release, None
-        if release is not None:
-            release()
-        else:  # pragma: no cover - defensive: session opened pre-refactor pool
-            pool.shutdown(wait=True)
+    def _lease(self) -> "Tuple[Executor, Callable[[], None]]":
+        return checkout(self._jobs)
 
     def _chunks(self, tasks: List[Any]) -> List[List[Any]]:
-        if self.chunksize is not None:
-            size = self.chunksize
-            return [tasks[i : i + size] for i in range(0, len(tasks), size)]
         # Size-tiered chunks: workers pull the next pending chunk as they
         # finish (ProcessPoolExecutor scheduling is completion-driven), so the
         # decaying sizes bound how much work a straggler can strand while the
@@ -421,13 +375,9 @@ class ProcessBackend(ExecutionBackend):
             return []
         self.check_picklable(fn, shared, tasks)
         chunks = self._chunks(tasks)
-        if self._pool is not None:
+        # Outside a session this leases the warm pool for just this call.
+        with self.session():
             return self._collect(self._pool, fn, shared, chunks)
-        pool, release = self._lease_pool(limit=len(chunks))
-        try:
-            return self._collect(pool, fn, shared, chunks)
-        finally:
-            release()
 
     @staticmethod
     def _collect(

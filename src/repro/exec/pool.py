@@ -1,11 +1,10 @@
-"""Persistent warm process pools shared across dispatches.
+"""Persistent warm process pools: the process backend's one lifecycle.
 
-A cold :class:`~concurrent.futures.ProcessPoolExecutor` pays fork + interpreter
-start + module import for every ``BatchRunner`` / ``DesignSpaceExplorer``
-invocation, and its workers die with their memoized state (per-worker caches,
-objects resolved from shared-memory handles, architecture builds).  With
-``REPRO_POOL=warm`` the process backend leases its executor from this module
-instead: one pool per worker count stays alive across dispatches, so the
+A fresh :class:`~concurrent.futures.ProcessPoolExecutor` pays fork +
+interpreter start + module import on every dispatch, and its workers die with
+their memoized state (objects resolved from shared-memory handles,
+architecture builds).  The process backend therefore leases its executor from
+this module: one pool per worker count stays alive across dispatches, so the
 second dispatch starts with imported modules and warm caches.
 
 Correctness guards:
@@ -15,21 +14,28 @@ Correctness guards:
   (forked workers inherit the environment of their fork, and not every task
   encoding pins every knob), so a warm pool can never serve stale modes.  If
   the mismatch shows up while another lease is active, the checkout gets a
-  private single-use executor instead -- cold semantics, never a stale pool.
+  private single-use executor instead of restarting a pool mid-dispatch.  A
+  pool whose executor broke (a worker died) is replaced the same way.
+- **nested dispatch** -- a checkout made inside a pool worker also gets a
+  private executor: the fork-inherited registry names executors whose
+  management threads only exist in the parent, and a persistent pool owned by
+  a worker would hang that worker's exit.
 - **idle reaping** -- a released pool schedules its own shutdown after
   ``REPRO_POOL_IDLE_S`` seconds without a lease, bounding resident workers.
 - **explicit stop** -- ``repro pool stop`` (and ``atexit``) tears everything
   down; a fork-inherited registry is pid-guarded so worker children never
   shut down the parent's pools.
 
-``REPRO_POOL=cold`` (the default) bypasses this module entirely: the process
-backend keeps its historical build-per-dispatch behaviour, which is also the
-right mode for tests that assert cold-start pass counts.
+Workers outlive the dispatch that forked them, so per-worker memos must not
+leak between independent callers: consumers key them by a token minted per
+call, next to a content digest of the inputs (see
+:func:`repro.explore.dse._worker_explorer`).
 """
 
 from __future__ import annotations
 
 import atexit
+import multiprocessing
 import os
 import threading
 import time
@@ -39,13 +45,9 @@ from typing import Callable, Dict, List, Optional, Tuple
 from repro.core import knobs
 from repro.core.knobs import repro_env_snapshot
 
-POOL_ENV = "REPRO_POOL"
 POOL_IDLE_ENV = "REPRO_POOL_IDLE_S"
 
-
-def pool_mode() -> str:
-    """The effective ``REPRO_POOL`` value (``warm`` or ``cold``)."""
-    return knobs.value(POOL_ENV)
+Lease = Tuple[ProcessPoolExecutor, Callable[[], None]]
 
 
 def _idle_seconds() -> float:
@@ -71,13 +73,23 @@ class _WarmPool:
             self.reaper.cancel()
             self.reaper = None
 
+    def stale(self, snapshot: Dict[str, str]) -> bool:
+        """True when this pool must not serve a checkout under ``snapshot``."""
+        return self.env != snapshot or bool(getattr(self.executor, "_broken", False))
+
 
 _POOLS: Dict[int, _WarmPool] = {}
 _LOCK = threading.Lock()
 _OWNER_PID = os.getpid()
 
 
-def checkout(jobs: int) -> Tuple[ProcessPoolExecutor, Callable[[], None]]:
+def _private(jobs: int) -> Lease:
+    """A single-use executor, torn down by its release."""
+    executor = ProcessPoolExecutor(max_workers=jobs)
+    return executor, lambda: executor.shutdown(wait=True)
+
+
+def checkout(jobs: int) -> Lease:
     """Lease the warm pool for ``jobs`` workers: ``(executor, release)``.
 
     The caller must invoke ``release()`` exactly once when its dispatch scope
@@ -86,24 +98,21 @@ def checkout(jobs: int) -> Tuple[ProcessPoolExecutor, Callable[[], None]]:
     is created -- or restarted, when the ``REPRO_*`` snapshot moved -- on
     demand.
     """
+    if multiprocessing.parent_process() is not None:
+        return _private(jobs)
     snapshot = repro_env_snapshot()
     with _LOCK:
         pool = _POOLS.get(jobs)
-        if pool is not None and pool.env != snapshot:
-            if pool.leases == 0:
-                pool.cancel_reaper()
-                _shutdown_pool(pool, wait=False)
-                _POOLS.pop(jobs, None)
-                pool = None
-                restarted = True
-            else:
-                # Another lease is mid-flight under the old snapshot; serve
-                # this caller a private cold executor rather than restarting
-                # a pool that is actively executing.
-                private = ProcessPoolExecutor(max_workers=jobs)
-                return private, lambda: private.shutdown(wait=True)
-        else:
-            restarted = False
+        restarted = False
+        if pool is not None and pool.stale(snapshot):
+            if pool.leases:
+                # Another lease is mid-flight on this pool; serve this caller
+                # a private executor rather than restarting an active pool.
+                return _private(jobs)
+            pool.cancel_reaper()
+            _shutdown_pool(pool, wait=False)
+            pool = None
+            restarted = True
         if pool is None:
             pool = _WarmPool(jobs)
             if restarted:

@@ -22,7 +22,9 @@ Three resolution tiers, tried in order:
    ``SharedMemory`` has no ``track=False``, and an attach registers the
    segment with the attaching process's ``resource_tracker``, which would
    *unlink it for everyone* when the worker exits; the attach path therefore
-   unregisters the segment immediately (the publisher owns the unlink);
+   unregisters the segment immediately (the publisher owns the unlink) --
+   unless the worker shares the publisher's tracker (a fork child), where
+   the unregister would drop the publisher's own registration;
 3. **framed fetch** -- a cross-host cluster worker cannot see the publisher's
    ``/dev/shm``; a registered fetch hook (the cluster worker installs one
    speaking ``("fetch", digest)`` / ``("blob", ...)`` frames) pulls the bytes
@@ -139,6 +141,23 @@ def _view(buffer, shape: Tuple[int, ...], dtype: str, nbytes: int) -> np.ndarray
     return array
 
 
+#: Fork ancestors whose ``resource_tracker`` this process shares (it was
+#: already running when they forked, so the child inherited its pipe).
+_TRACKER_PEERS: frozenset = frozenset()
+
+
+def _inherit_tracker_peers() -> None:
+    global _TRACKER_PEERS
+    from multiprocessing import resource_tracker
+
+    shared = getattr(resource_tracker._resource_tracker, "_fd", None) is not None  # noqa: SLF001
+    _TRACKER_PEERS = _TRACKER_PEERS | {os.getppid()} if shared else frozenset()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_inherit_tracker_peers)
+
+
 def _attach_untracked(name: str):
     """Open an existing segment without adopting its lifetime.
 
@@ -150,6 +169,13 @@ def _attach_untracked(name: str):
     from multiprocessing import resource_tracker, shared_memory
 
     segment = shared_memory.SharedMemory(name=name)
+    creator_pid = int(name.lstrip("/").split("-")[1])  # see _segment_name
+    if creator_pid in _TRACKER_PEERS:
+        # A fork child of the creator (a warm pool worker attaching a segment
+        # published after it forked) shares the creator's tracker: the attach
+        # re-registered a name the tracker already holds, and unregistering
+        # would drop the creator's own registration.
+        return segment
     try:
         resource_tracker.unregister(segment._name, "shared_memory")  # noqa: SLF001
     except Exception:  # pragma: no cover - tracker variations across versions

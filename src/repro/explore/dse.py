@@ -28,6 +28,7 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import math
+import os
 import pickle
 import threading
 from dataclasses import dataclass, field
@@ -281,9 +282,15 @@ class _DesignTaskContext:
     """Picklable, task-invariant payload for process-backend design evaluation.
 
     Carries specs and data (builder *reference*, config dataclasses, workload
-    records) -- never live engines or caches.  ``key`` is a parent-computed
-    content address the workers memoize their per-process explorer on, so one
-    worker evaluates a whole chunk against a single architecture/engine setup.
+    records) -- never live engines or caches.  ``key`` is the content digest of
+    that setup plus a token minted once per :meth:`DesignSpaceExplorer.explore`
+    call (parent pid + counter); workers memoize their per-process explorer on
+    it.  One worker evaluates every round of an exploration against a single
+    architecture/engine setup, and a warm worker reused by the next
+    exploration starts it from an empty cache, so pass counts never depend on
+    what the pool ran before.  The digest keeps a token collision harmless: a
+    worker that outlives its coordinator can meet a later parent with the
+    same pid, and two keys can only then match when the inputs match too.
     """
 
     key: str
@@ -317,13 +324,23 @@ class _DesignTaskOutcome:
 #: the thread backend calls :func:`_worker_explorer` concurrently, and an
 #: unguarded check-then-insert would let two threads build rival explorers
 #: for one key (splitting the shared cache and dropping telemetry deltas).
+#: Finished explorations never come back.  Every task refreshes its entry, so
+#: least-recently-used eviction drops finished explorers first and a running
+#: exploration keeps its cache as long as at most :data:`_WORKER_EXPLORERS_CAP`
+#: explorations share one worker at a time (a threaded batch of DSE
+#: scenarios).  The cap stays small because every entry above the number of
+#: concurrent explorations only keeps a finished cache resident.
 _WORKER_EXPLORERS: Dict[str, "DesignSpaceExplorer"] = {}
 _WORKER_EXPLORERS_LOCK = threading.Lock()
+_WORKER_EXPLORERS_CAP = 4
+
+#: Source of :attr:`_DesignTaskContext.key` tokens in the dispatching process.
+_EXPLORE_TOKENS = itertools.count()
 
 
 def _worker_explorer(shared: _DesignTaskContext) -> "DesignSpaceExplorer":
     with _WORKER_EXPLORERS_LOCK:
-        explorer = _WORKER_EXPLORERS.get(shared.key)
+        explorer = _WORKER_EXPLORERS.pop(shared.key, None)
         if explorer is None:
             explorer = DesignSpaceExplorer(
                 shared.builder,
@@ -335,7 +352,9 @@ def _worker_explorer(shared: _DesignTaskContext) -> "DesignSpaceExplorer":
                 ),
                 accuracy=shared.accuracy,
             )
-            _WORKER_EXPLORERS[shared.key] = explorer
+            while len(_WORKER_EXPLORERS) >= _WORKER_EXPLORERS_CAP:
+                _WORKER_EXPLORERS.pop(next(iter(_WORKER_EXPLORERS)))
+        _WORKER_EXPLORERS[shared.key] = explorer
     return explorer
 
 
@@ -509,7 +528,7 @@ class DesignSpaceExplorer:
                 "build_tempo, not a lambda or closure): "
                 f"{type(exc).__name__}: {exc}"
             ) from exc
-        key = digest(
+        setup = digest(
             "dse-exec-context",
             getattr(self.builder, "__module__", "?"),
             getattr(self.builder, "__qualname__", repr(self.builder)),
@@ -532,7 +551,7 @@ class DesignSpaceExplorer:
         # every worker task ships a digest instead of the pickle.
         workloads = publish_object(tuple(self.workloads))
         return _DesignTaskContext(
-            key=key,
+            key=f"{setup}:{os.getpid()}:{next(_EXPLORE_TOKENS)}",
             builder=self.builder,
             base_config=self.base_config,
             sim_config=self.sim_config,

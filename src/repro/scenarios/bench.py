@@ -9,9 +9,9 @@ performance trajectory: one file per PR, diffable across hosts and commits.
 Schema ``repro-bench/2`` makes every timing block self-describing:
 
 - ``knobs`` records the active perf knobs (``REPRO_FORWARD``, ``REPRO_RNG``,
-  ``REPRO_DTYPE``, ``REPRO_MC_TRIALS``, ``REPRO_MC_BACKEND``,
-  ``REPRO_MC_JOBS``) so entries from different modes are never compared
-  apples-to-oranges;
+  ``REPRO_DTYPE``, ``REPRO_MC_TRIALS``) so entries from different modes are
+  never compared apples-to-oranges (the execution backend is a scenario
+  parameter, recorded with the report's ``params``);
 - ``stages_s`` / ``stage_fractions`` attribute the Monte Carlo wall-clock to
   the rng / forward / quantize / metrics stages (the non-pass events of
   :mod:`repro.core.observe`), recording where the *next* ceiling is.
@@ -58,8 +58,8 @@ BENCH_SCHEMA = "repro-bench/2"
 #: Default output path -- the repo-root perf-trajectory artifact of this PR.
 DEFAULT_BENCH_PATH = "BENCH_PR10.json"
 
-#: Environment knobs recorded verbatim in every timing block (execution shape).
-_RECORDED_ENV = ("REPRO_MC_TRIALS", "REPRO_MC_BACKEND", "REPRO_MC_JOBS")
+#: Environment knobs recorded verbatim in every timing block.
+_RECORDED_ENV = ("REPRO_MC_TRIALS",)
 
 #: The bit-exact reference mode: the only mode committed scenario tables
 #: reproduce under, and the baseline ``speedup_vs_reference_median`` divides by.
@@ -326,6 +326,8 @@ def bench_cluster_scaling(
     ``workers -> timing`` map with ``speedup_vs_serial_median`` ratios -- the
     workers x wall-clock record BENCH_PR7 tracks.
 
+    The scenario must take ``backend`` / ``jobs`` params (the serial baseline
+    runs ``backend=serial``, every cluster count ``backend=cluster``).
     Localhost workers share the host's cores, so the recorded scaling is a
     lower bound dominated by per-round shipping overhead; the same knobs point
     the backend at real remote hosts.
@@ -341,11 +343,11 @@ def bench_cluster_scaling(
     counts = sorted(set(int(c) for c in worker_counts))
     if not counts or counts[0] < 1:
         raise ValueError(f"worker counts must be positive, got {worker_counts!r}")
-    with _forced_env("REPRO_MC_BACKEND", "serial"):
-        serial = time_scenario(
-            name, repeats=repeats, warmup=warmup, params=params,
-            mode="vectorized", rng=rng, dtype=dtype,
-        )
+    serial = time_scenario(
+        name, repeats=repeats, warmup=warmup,
+        params={**(params or {}), "backend": "serial"},
+        mode="vectorized", rng=rng, dtype=dtype,
+    )
     block: Dict[str, Any] = {
         "scenario": name,
         "serial": asdict(serial),
@@ -356,13 +358,12 @@ def bench_cluster_scaling(
         processes = spawn_local_workers(count, coordinator.host, coordinator.port)
         try:
             coordinator.wait_for_workers(count, wait_s)
-            with _forced_env("REPRO_MC_BACKEND", "cluster"), _forced_env(
-                CLUSTER_HOST_ENV, coordinator.host
-            ), _forced_env(CLUSTER_PORT_ENV, str(coordinator.port)), _forced_env(
-                CLUSTER_WORKERS_ENV, str(count)
-            ):
+            with _forced_env(CLUSTER_HOST_ENV, coordinator.host), _forced_env(
+                CLUSTER_PORT_ENV, str(coordinator.port)
+            ), _forced_env(CLUSTER_WORKERS_ENV, str(count)):
                 timing = time_scenario(
-                    name, repeats=repeats, warmup=warmup, params=params,
+                    name, repeats=repeats, warmup=warmup,
+                    params={**(params or {}), "backend": "cluster"},
                     mode="vectorized", rng=rng, dtype=dtype,
                 )
         finally:
@@ -382,12 +383,6 @@ def bench_cluster_scaling(
     return block
 
 
-#: The ``REPRO_POOL`` configurations ``bench_dispatch_comparison`` times, in
-#: order: the pre-warm-pool baseline, then the persistent pool.  Both ship
-#: large payloads through shared memory.
-DISPATCH_MODES: Tuple[str, ...] = ("cold", "warm")
-
-
 def bench_dispatch_comparison(
     name: str = "variation_robustness",
     repeats: int = 3,
@@ -397,51 +392,46 @@ def bench_dispatch_comparison(
     rng: Optional[str] = None,
     dtype: Optional[str] = None,
 ) -> Dict[str, Any]:
-    """Time one scenario serially and under each process-dispatch configuration.
+    """Time one scenario serially and on the warm process pool.
 
-    Pins ``REPRO_MC_BACKEND=processes`` and sweeps ``REPRO_POOL`` through
-    :data:`DISPATCH_MODES`: the cold-pool baseline pays executor spin-up on
-    every run, ``warm`` reuses one persistent pool across the timed repeats
-    (the warmup round absorbs the one-time spin-up).  Every entry records
+    The scenario must take ``backend`` / ``jobs`` params: the baseline runs
+    ``backend=serial``, the ``warm`` entry ``backend=processes`` (plus
+    ``jobs`` when given), reusing one persistent pool across the timed repeats
+    (the warmup round absorbs the one-time spin-up).  The entry records
     ``speedup_vs_serial_median`` against the same-knobs serial baseline and
-    ``dispatch_overhead_s``, the mode's median minus the serial median: what
-    the process backend costs end to end.  Warm pools are stopped between
-    modes so each configuration measures exactly the fleet it claims.
+    ``dispatch_overhead_s``, its median minus the serial median: what the
+    process backend costs end to end.  Warm pools are stopped before and after
+    so the entry measures exactly the fleet it claims.
     """
     from repro.exec.pool import stop_pools
 
-    with _forced_env("REPRO_MC_BACKEND", "serial"):
-        serial = time_scenario(
-            name, repeats=repeats, warmup=warmup, params=params,
+    base = dict(params or {})
+    serial = time_scenario(
+        name, repeats=repeats, warmup=warmup, params={**base, "backend": "serial"},
+        mode="vectorized", rng=rng, dtype=dtype,
+    )
+    processes = {**base, "backend": "processes"}
+    if jobs is not None:
+        processes["jobs"] = jobs
+    stop_pools()
+    try:
+        timing = time_scenario(
+            name, repeats=repeats, warmup=warmup, params=processes,
             mode="vectorized", rng=rng, dtype=dtype,
         )
-    block: Dict[str, Any] = {
+    finally:
+        stop_pools()
+    entry = asdict(timing)
+    entry["pool"] = "warm"
+    entry["speedup_vs_serial_median"] = (
+        serial.median_s / timing.median_s if timing.median_s > 0 else 0.0
+    )
+    entry["dispatch_overhead_s"] = timing.median_s - serial.median_s
+    return {
         "scenario": name,
         "serial": asdict(serial),
-        "dispatch": {},
+        "dispatch": {"warm": entry},
     }
-    for pool in DISPATCH_MODES:
-        stop_pools()
-        try:
-            with contextlib.ExitStack() as stack:
-                stack.enter_context(_forced_env("REPRO_MC_BACKEND", "processes"))
-                if jobs is not None:
-                    stack.enter_context(_forced_env("REPRO_MC_JOBS", str(jobs)))
-                stack.enter_context(_forced_env("REPRO_POOL", pool))
-                timing = time_scenario(
-                    name, repeats=repeats, warmup=warmup, params=params,
-                    mode="vectorized", rng=rng, dtype=dtype,
-                )
-        finally:
-            stop_pools()
-        entry = asdict(timing)
-        entry["pool"] = pool
-        entry["speedup_vs_serial_median"] = (
-            serial.median_s / timing.median_s if timing.median_s > 0 else 0.0
-        )
-        entry["dispatch_overhead_s"] = timing.median_s - serial.median_s
-        block["dispatch"][pool] = entry
-    return block
 
 
 def write_bench_report(

@@ -887,7 +887,6 @@ def _check_dse_large_grid(result: ScenarioResult) -> None:
         objectives=("energy_uj", "latency_ns", "area_mm2"),
         columns=("design point", "energy (uJ)", "latency (ns)", "area (mm2)", "pareto"),
         params={"backend": "serial", "jobs": 0},
-        env_params={"backend": "REPRO_DSE_BACKEND", "jobs": "REPRO_DSE_JOBS"},
         description=(
             "The full 192-point grid over tiles/cores/core-size/wavelengths with "
             "data-carrying transformer-block workloads.  The rendered table is "
@@ -971,7 +970,6 @@ def _check_dse_backend_scaling(result: ScenarioResult) -> None:
         strategy="grid",
         columns=("backend", "jobs", "wall-clock (ms)", "vs serial", "vs threads"),
         params={"jobs": 2},
-        env_params={"jobs": "REPRO_BACKEND_JOBS"},
         deterministic=False,
         description=(
             "Times the 192-point grid with the engine cache off (every point "
@@ -1235,11 +1233,7 @@ def _check_variation_robustness(result: ScenarioResult) -> None:
             "backend": "serial",
             "jobs": 0,
         },
-        env_params={
-            "trials": "REPRO_MC_TRIALS",
-            "backend": "REPRO_MC_BACKEND",
-            "jobs": "REPRO_MC_JOBS",
-        },
+        env_params={"trials": "REPRO_MC_TRIALS"},
         description=(
             "Scales a representative silicon-photonics noise corner "
             "(weight-encoding error, phase noise, crosstalk, link-loss drift) "
@@ -1437,7 +1431,6 @@ def _check_accuracy_energy_pareto(result: ScenarioResult) -> None:
             "backend": "serial",
             "jobs": 0,
         },
-        env_params={"backend": "REPRO_PARETO_BACKEND", "jobs": "REPRO_PARETO_JOBS"},
         description=(
             "Sweeps converter precision and core geometry with Monte Carlo "
             "inference accuracy as a first-class DSE objective next to energy: "

@@ -102,10 +102,10 @@ class TestBackends:
     def test_empty_task_list(self, backend):
         assert resolve_backend(backend, jobs=2).map_tasks(_square_task, []) == []
 
-    @pytest.mark.parametrize("chunksize", [1, 3, 100])
-    def test_process_chunking_is_order_invariant(self, chunksize):
-        backend = ProcessBackend(jobs=2, chunksize=chunksize)
-        tasks = list(range(11))
+    @pytest.mark.parametrize("count", [1, 3, 11, 100])
+    def test_process_chunking_is_order_invariant(self, count):
+        backend = ProcessBackend(jobs=2)
+        tasks = list(range(count))
         assert backend.map_tasks(_square_task, tasks) == [t * t for t in tasks]
 
     @pytest.mark.parametrize("backend", ["serial", "threads", "processes"])
@@ -128,7 +128,9 @@ class TestBackends:
         """Multi-round strategies must not re-fork (and lose worker memos) per
         batch: inside one session, consecutive map_tasks calls land on the same
         worker processes."""
-        backend = ProcessBackend(jobs=2, chunksize=1)
+        from repro.exec import pool_status
+
+        backend = ProcessBackend(jobs=2)
         with backend.session():
             assert backend._pool is not None
             first = set(backend.map_tasks(_worker_pid, range(8)))
@@ -137,12 +139,15 @@ class TestBackends:
         # workers ever ran (fresh pools per round would show up to 2x, and
         # the pool spawns lazily, so per-round sets need not even overlap).
         assert len(first | second) <= backend.jobs
-        # After the session the pool is torn down.
+        # After the session the lease is released but the warm pool lives on:
+        # the next dispatch lands on the same workers.
         assert backend._pool is None
-        assert set(backend.map_tasks(_worker_pid, range(8))).isdisjoint(first)
+        assert [p["leases"] for p in pool_status() if p["jobs"] == 2] == [0]
+        after = set(backend.map_tasks(_worker_pid, range(8)))
+        assert len(first | second | after) <= backend.jobs
 
     def test_sessions_nest_and_share_the_outer_pool(self):
-        backend = ProcessBackend(jobs=2, chunksize=1)
+        backend = ProcessBackend(jobs=2)
         with backend.session():
             outer = set(backend.map_tasks(_worker_pid, range(8)))
             with backend.session():

@@ -30,7 +30,7 @@ def test_every_mode_knob_is_declared():
         "REPRO_DTYPE",
         "REPRO_RNG",
         "REPRO_MC_TRIALS",
-        "REPRO_MC_BACKEND",
+        "REPRO_POOL_IDLE_S",
         "REPRO_STORE",
         "REPRO_CLUSTER_HOST",
         "REPRO_CLUSTER_PORT",
@@ -42,7 +42,7 @@ def test_numeric_knobs_cover_the_result_affecting_surface():
     numeric = set(numeric_knob_names())
     assert {"REPRO_FORWARD", "REPRO_DTYPE", "REPRO_RNG", "REPRO_MC_TRIALS"} <= numeric
     # Execution shape must never be classified as numerics.
-    assert "REPRO_MC_JOBS" not in numeric
+    assert "REPRO_POOL_IDLE_S" not in numeric
     assert "REPRO_CLUSTER_WORKERS" not in numeric
 
 
@@ -101,12 +101,12 @@ def test_value_rejects_bad_coercion_and_choices():
 
 
 def test_forced_env_restores_previous_state():
-    name = "REPRO_MC_BACKEND"
+    name = "REPRO_CLUSTER_HOST"
     before = os.environ.get(name)
-    with forced_env(name, "serial"):
-        assert raw_value(name) == "serial"
+    with forced_env(name, "10.0.0.1"):
+        assert raw_value(name) == "10.0.0.1"
         with forced_env(name, None):  # None = leave as is
-            assert raw_value(name) == "serial"
+            assert raw_value(name) == "10.0.0.1"
     assert os.environ.get(name) == before
     with pytest.raises(KeyError):
         with forced_env("REPRO_NO_SUCH_KNOB", "x"):

@@ -44,6 +44,7 @@ from repro.onn.quantize import quantize_uniform, quantize_uniform_batch
 from repro.scenarios import REGISTRY
 from repro.scenarios.bench import (
     BENCH_SCHEMA,
+    bench_dispatch_comparison,
     bench_scenarios,
     check_speedups,
     time_scenario,
@@ -586,6 +587,33 @@ class TestBenchHarness:
         target = write_bench_report(payload, tmp_path / "bench.json")
         loaded = json.loads(target.read_text())
         assert loaded["scenarios"]["table1_taxonomy"]["vectorized"]["repeats"] == 1
+
+    def test_dispatch_comparison_times_serial_and_warm_processes(self, monkeypatch):
+        from repro.exec import ProcessBackend
+
+        dispatched = []
+        map_tasks = ProcessBackend.map_tasks
+
+        def spy(backend, fn, tasks, shared=None):
+            dispatched.append(backend.jobs)
+            return map_tasks(backend, fn, tasks, shared)
+
+        monkeypatch.setattr(ProcessBackend, "map_tasks", spy)
+        block = bench_dispatch_comparison(
+            "variation_robustness", repeats=1, warmup=0, jobs=2,
+            params={"trials": 2},
+        )
+        assert block["scenario"] == "variation_robustness"
+        assert block["serial"]["repeats"] == 1
+        assert list(block["dispatch"]) == ["warm"]
+        warm = block["dispatch"]["warm"]
+        assert warm["median_s"] > 0
+        assert warm["dispatch_overhead_s"] == pytest.approx(
+            warm["median_s"] - block["serial"]["median_s"]
+        )
+        # The warm entry really ran the trials on worker processes: a
+        # comparison that silently ran serial would never dispatch.
+        assert dispatched and set(dispatched) == {2}
 
     def test_cli_bench_writes_report(self, tmp_path, capsys):
         out = tmp_path / "BENCH.json"
