@@ -4,7 +4,7 @@ The staged :class:`~repro.core.engine.EvaluationEngine` splits a simulation into
 passes (route -> map -> memory -> link-budget/area -> latency/energy -> aggregate)
 and memoizes each pass on a canonical fingerprint of *exactly the inputs that pass
 reads* -- the architecture's symbolic structure, the resolved scaling parameters, the
-workload operand data, the :class:`~repro.core.config.SimulationConfig` fields.  A
+workload shapes and bit widths, the :class:`~repro.core.config.SimulationConfig` fields.  A
 design-space sweep that varies one parameter therefore only re-runs the passes that
 parameter invalidates; everything else is a cache hit.
 
@@ -20,9 +20,11 @@ canonicalization into a SHA-1 string computed once and memoized on the object:
   ``"ndarray.T"``, so it needs no copy either; every other array is hashed in C
   order under ``"ndarray"``.  Equal values in different layouts may therefore get
   different keys (a spurious miss, never a wrong hit);
-- :class:`~repro.dataflow.gemm.GEMMWorkload` operand tensors are hashed once and the
-  digest is memoized on the workload object (workloads are treated as immutable
-  once handed to an engine -- mutate a copy, not the original, between runs).
+- no engine pass hashes operand tensors: the map and memory passes key on
+  :func:`workload_shape_key`, and the data-aware energy values are memos on the
+  :class:`~repro.dataflow.gemm.GEMMWorkload` itself.  Only the design-space
+  explorer hashes them (:func:`workload_fingerprint`, memoized on the workload).
+  Workloads are immutable once handed to an engine -- mutate a copy between runs.
 
 :class:`EvaluationCache` is the store shared by every pass (and by all design points
 of an exploration): a thread-safe dict keyed by ``(stage, fingerprint)`` with
@@ -148,8 +150,26 @@ def config_fingerprint(config: Any) -> Hashable:
     return memoized_fingerprint(config, lambda: digest(type(config).__name__, config))
 
 
+def workload_shape_key(workload: Any) -> tuple:
+    """What the map and memory passes read of a GEMM workload: no operand values."""
+    return (
+        workload.m,
+        workload.n,
+        workload.k,
+        workload.input_bits,
+        workload.weight_bits,
+        workload.output_bits,
+        workload.layer_type,
+        workload.weight_static,
+    )
+
+
 def workload_fingerprint(workload: Any) -> Hashable:
-    """Digest of a GEMM/Layer workload including its operand tensors."""
+    """Digest of a GEMM/Layer workload including its operand tensors.
+
+    Only the design-space explorer needs it (its ``design_point`` key and
+    worker-setup digest); the engine passes never hash operand bytes.
+    """
     gemm = getattr(workload, "gemm", workload)
 
     def compute() -> str:

@@ -76,12 +76,16 @@ class EnergyReport:
 class EnergyAnalyzer:
     """Accumulates data-aware device and data-movement energy for one mapping.
 
-    ``cache`` (an :class:`~repro.core.cache.EvaluationCache`) optionally memoizes
-    the data-aware sub-computations -- workload sparsity, normalized/subsampled
-    operand values and per-device response-model power averages -- keyed by the
-    workload operand digest and the device model, so design-space sweeps that
-    re-simulate the same tensors on many architecture variants compute each
-    average once.  Without a cache the behaviour is exactly the seed analyzer's.
+    ``cache`` (an :class:`~repro.core.cache.EvaluationCache`), when enabled,
+    turns on memoization of the data-aware sub-computations -- workload
+    sparsity, normalized/subsampled operand values (per operand and
+    ``value_sample_limit``) and per-device response-model power averages (per
+    device model, operand and ``value_sample_limit``).  They are memos on the
+    workload itself (:meth:`~repro.dataflow.gemm.GEMMWorkload.memo`), so no
+    operand bytes are hashed to find them, and design-space sweeps that
+    re-simulate the same workload on many architecture variants compute each
+    average once.  Without an enabled cache the behaviour is exactly the seed
+    analyzer's.
     """
 
     def __init__(
@@ -92,29 +96,24 @@ class EnergyAnalyzer:
         self.config = config or SimulationConfig()
         self.cache = cache
 
-    # -- cached data-aware sub-computations ----------------------------------------
-    def _workload_sparsity(self, workload) -> float:
-        if self.cache is None or not self.cache.enabled:
-            return workload.sparsity
-        from repro.core.cache import workload_fingerprint
+    # -- memoized data-aware sub-computations ---------------------------------------
+    @property
+    def _memoize(self) -> bool:
+        return self.cache is not None and self.cache.enabled
 
-        key = workload_fingerprint(workload)
-        return self.cache.get_or_compute("sparsity", key, lambda: workload.sparsity)
+    def _workload_sparsity(self, workload) -> float:
+        if not self._memoize:
+            return workload.sparsity
+        return workload.memo("weight_sparsity", lambda: workload.sparsity)
 
     def _cached_operand_values(
         self, mapping: Mapping, operand: Optional[str]
     ) -> Optional[np.ndarray]:
-        if self.cache is None or not self.cache.enabled or operand is None:
+        if not self._memoize or operand is None:
             return self._operand_values(mapping, operand)
-        from repro.core.cache import workload_fingerprint
-
-        key = (
-            workload_fingerprint(mapping.workload),
-            operand,
-            self.config.value_sample_limit,
-        )
-        return self.cache.get_or_compute(
-            "operand_values", key, lambda: self._operand_values(mapping, operand)
+        key = ("operand_sample", operand, self.config.value_sample_limit)
+        return mapping.workload.memo(
+            key, lambda: self._operand_values(mapping, operand)
         )
 
     # -- operand value handling -----------------------------------------------------
@@ -153,17 +152,17 @@ class EnergyAnalyzer:
         device = arch.library.get(inst.device)
         if not (data_aware and inst.data_dependent):
             return device.nominal_power_mw()
-        if self.cache is not None and self.cache.enabled:
-            from repro.core.cache import device_fingerprint, workload_fingerprint
+        if self._memoize:
+            from repro.core.cache import device_fingerprint
 
             key = (
+                "average_power",
                 device_fingerprint(device),
                 inst.operand,
-                workload_fingerprint(mapping.workload),
                 self.config.value_sample_limit,
             )
-            return self.cache.get_or_compute(
-                "device_power", key, lambda: self._average_power(device, mapping, inst.operand)
+            return mapping.workload.memo(
+                key, lambda: self._average_power(device, mapping, inst.operand)
             )
         return self._average_power(device, mapping, inst.operand)
 

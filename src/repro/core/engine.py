@@ -9,16 +9,18 @@ Every pass reads and writes a shared :class:`EvaluationContext` and memoizes its
 result in a shared :class:`~repro.core.cache.EvaluationCache` keyed by a canonical
 fingerprint of exactly the inputs it consumes:
 
-- the *map* pass keys on the workload digest plus the architecture's resolved
-  parallel dimensions, so precision or frequency changes don't invalidate mappings;
+- the *map* pass keys on the workload's shape and bit widths plus the
+  architecture's resolved parallel dimensions -- no operand bytes are hashed --
+  and the *memory* pass on those mapping shape tuples;
 - the *critical-path* half of the link budget keys on the netlist topology and the
   resolved per-instance losses, which for most templates depend on a subset of the
   architecture parameters (e.g. TeMPO's broadcast losses depend on H and W but not
   on the wavelength count);
 - the node *floorplan* keys on the node netlist and device geometry only, so it is
   computed once per template regardless of how many grid points a sweep visits;
-- data-aware *device power* averages key on the device model and the workload
-  operand digest, shared by every design point that simulates the same tensors.
+- data-aware *device power* averages (and the sparsity and operand samples they
+  read) are memoized on the workload object per device model, shared by every
+  design point that simulates the same workload.
 
 Architecture construction itself is a pass: templates consume the swept grid
 dimensions (``num_tiles``/``cores_per_tile``/``core_height``/``core_width``) only
@@ -49,7 +51,7 @@ from repro.core.cache import (
     EvaluationCache,
     fingerprint,
     netlist_fingerprint,
-    workload_fingerprint,
+    workload_shape_key,
 )
 from repro.core.config import SimulationConfig
 from repro.core.energy import EnergyAnalyzer, EnergyReport
@@ -438,9 +440,9 @@ class MapPass(EnginePass):
 
 
 def _mapping_key(mapping: Mapping) -> tuple:
-    """Identity tuple of a mapping: workload digest plus its blocking factors."""
+    """Identity tuple of a mapping: workload shape plus its blocking factors."""
     return (
-        workload_fingerprint(mapping.workload),
+        workload_shape_key(mapping.workload),
         mapping.arch_name,
         mapping.m_parallel,
         mapping.n_parallel,
@@ -764,7 +766,7 @@ class LayerAnalysisPass(EnginePass):
     ) -> EnergyReport:
         # The per-instance accumulation is cheap arithmetic; the expensive
         # data-aware sub-computations (operand sampling, response averages,
-        # sparsity) are memoized inside the analyzer itself.
+        # sparsity) are memoized by the analyzer on the workload itself.
         return self.engine.energy_analyzer.analyze(
             arch,
             mapping,

@@ -10,9 +10,11 @@ pruning mask / sparsity, and the layer identity used for heterogeneous mapping.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Any, Callable, Dict, Hashable, Optional, TypeVar
 
 import numpy as np
+
+T = TypeVar("T")
 
 
 @dataclass
@@ -27,6 +29,9 @@ class GEMMWorkload:
     layer's own weight matrix (and the layer input / mask likewise), so the
     weights are stored once.  Treat them as immutable; to change an operand,
     build a new workload with a new array.
+
+    Values derived from the operands are memoized on the workload
+    (:meth:`memo`); the explorer's operand digest is kept as ``_repro_fingerprint``.
     """
 
     name: str
@@ -121,36 +126,61 @@ class GEMMWorkload:
     def normalized_weights(self) -> Optional[np.ndarray]:
         """Weights scaled to [-1, 1], the native encoding range of analog devices.
 
-        Memoized on the workload (workloads handed to the evaluation machinery
-        are immutable -- mutate a copy between runs); the cached array is
-        marked read-only so a repeated engine pass can never corrupt it.
+        Memoized on the workload (see :meth:`memo`); the cached array is marked
+        read-only so a repeated engine pass can never corrupt it.
         """
         if self.weight_values is None:
             return None
-        cached = getattr(self, "_repro_normalized_weights", None)
-        if cached is None:
+
+        def compute() -> np.ndarray:
             weights = self.effective_weights()
             peak = float(np.max(np.abs(weights)))
-            cached = np.zeros_like(weights) if peak == 0.0 else weights / peak
-            cached.setflags(write=False)
-            self._repro_normalized_weights = cached
-        return cached
+            normalized = np.zeros_like(weights) if peak == 0.0 else weights / peak
+            normalized.setflags(write=False)
+            return normalized
+
+        return self.memo("normalized_weights", compute)
 
     def normalized_inputs(self) -> Optional[np.ndarray]:
         """Activations scaled to [-1, 1]; memoized like :meth:`normalized_weights`."""
         if self.input_values is None:
             return None
-        cached = getattr(self, "_repro_normalized_inputs", None)
-        if cached is None:
+
+        def compute() -> np.ndarray:
             peak = float(np.max(np.abs(self.input_values)))
-            cached = (
+            normalized = (
                 np.zeros_like(self.input_values)
                 if peak == 0.0
                 else self.input_values / peak
             )
-            cached.setflags(write=False)
-            self._repro_normalized_inputs = cached
-        return cached
+            normalized.setflags(write=False)
+            return normalized
+
+        return self.memo("normalized_inputs", compute)
+
+    # -- derived-value memos ----------------------------------------------------------
+    def memo(self, key: Hashable, compute: Callable[[], T]) -> T:
+        """Return ``compute()``, memoized on this workload under ``key``.
+
+        Holds values derived from the operands: the normalized tensors always,
+        and with an enabled evaluation cache the energy model's sparsity,
+        operand samples and device power averages.  Workloads are immutable once
+        evaluated (mutate a copy), so a memo never goes stale; threads missing
+        one key at once may each compute it, to an equal value.
+        """
+        memos = self.__dict__.setdefault("_repro_memos", {})
+        if key not in memos:
+            memos[key] = compute()
+        return memos[key]
+
+    def __getstate__(self) -> Dict[str, Any]:
+        # Workers recompute the derived ``_repro_*`` memos rather than receive
+        # them; the short operand digest ships, sparing them a re-hash.
+        return {
+            name: value
+            for name, value in self.__dict__.items()
+            if not name.startswith("_repro_") or name == "_repro_fingerprint"
+        }
 
     # -- transformations ------------------------------------------------------------------
     def with_bits(self, input_bits: int, weight_bits: int, output_bits: Optional[int] = None) -> "GEMMWorkload":

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, Optional
+from typing import Any, Dict, Optional
 
 from repro.arch.architecture import Architecture
 from repro.arch.dataflow_spec import Dataflow
@@ -107,10 +107,13 @@ class DataflowMapper:
     """Maps GEMM workloads onto architectures following their dataflow specs.
 
     ``cache`` (an :class:`~repro.core.cache.EvaluationCache`) optionally memoizes
-    whole mappings on the *resolved* mapping inputs -- the workload digest, the
-    evaluated parallel dimensions, the forwards multiplier, the integration limit
-    and the reconfiguration model -- so two architecture configurations that
-    resolve to the same dataflow share one mapping record.
+    the blocking record of a mapping -- every :class:`Mapping` field except the
+    workload -- on the *resolved* mapping inputs: the workload's shape and bit
+    widths (:func:`~repro.core.cache.workload_shape_key`, no operand bytes), the
+    evaluated parallel dimensions, the forwards multiplier, the integration
+    limit and the reconfiguration model.  Two architecture configurations that
+    resolve to the same dataflow, or two workloads of one shape, share one
+    record; the returned :class:`Mapping` always wraps the caller's workload.
     """
 
     def __init__(
@@ -149,7 +152,7 @@ class DataflowMapper:
     def map(self, workload: GEMMWorkload, arch: Architecture) -> Mapping:
         """Map ``workload`` onto ``arch`` and return the mapping record."""
         if self.cache is not None and self.cache.enabled:
-            from repro.core.cache import workload_fingerprint
+            from repro.core.cache import workload_shape_key
             from repro.core.engine import structure_token
 
             # Integration limit and reconfig time scan device models only, so
@@ -162,7 +165,7 @@ class DataflowMapper:
             )
             dims = arch.dataflow.parallel_dims(arch.params)
             key = (
-                workload_fingerprint(workload),
+                workload_shape_key(workload),
                 arch.name,
                 dims["M"],
                 dims["N"],
@@ -173,17 +176,20 @@ class DataflowMapper:
                 arch.dataflow.weight_reuse_requires_reconfig,
                 arch.frequency_ghz,
             )
-            return self.cache.get_or_compute(
-                "map", key, lambda: self._map_impl(workload, arch, dims)
+            blocking = self.cache.get_or_compute(
+                "map", key, lambda: self._blocking(workload, arch, dims)
             )
-        return self._map_impl(workload, arch)
+        else:
+            blocking = self._blocking(workload, arch)
+        return Mapping(workload=workload, **blocking)
 
-    def _map_impl(
+    def _blocking(
         self,
         workload: GEMMWorkload,
         arch: Architecture,
         dims: Optional[Dict[str, int]] = None,
-    ) -> Mapping:
+    ) -> Dict[str, Any]:
+        """Every :class:`Mapping` field but the workload (reads only its shape)."""
         if dims is None:
             dims = arch.dataflow.parallel_dims(arch.params)
         m_par, n_par, k_par = dims["M"], dims["N"], dims["K"]
@@ -208,8 +214,7 @@ class DataflowMapper:
             temporal_accumulation, forwards,
         )
 
-        return Mapping(
-            workload=workload,
+        return dict(
             arch_name=arch.name,
             m_parallel=m_par,
             n_parallel=n_par,

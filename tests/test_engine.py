@@ -205,6 +205,60 @@ class TestCanonicalHashing:
         assert getattr(w1, "_repro_fingerprint") == workload_fingerprint(w1)
 
 
+class TestWorkloadMemos:
+    """The engine path reads operand identity from memos, never from hashing."""
+
+    def test_engine_run_hashes_no_operand_array(self, monkeypatch):
+        from repro.arch.templates import build_lightening_transformer
+        from repro.core import cache as cache_module
+        from repro.onn import ONNConversionConfig, convert_to_onn, extract_workloads
+        from repro.onn.models import build_bert_base_image
+
+        # A small transformer built and extracted the way the Fig. 8 scenario does.
+        model = build_bert_base_image(image_size=32, num_layers=1, num_classes=10)
+        convert_to_onn(model, ONNConversionConfig(default_ptc="lightening_transformer"))
+        image = np.random.default_rng(0).normal(size=(3, 32, 32))
+        workloads = extract_workloads(model, image)
+        arch = build_lightening_transformer()
+
+        hashed = []
+        canonical = cache_module.canonical_value
+
+        def spy(obj, depth=0):
+            if isinstance(obj, np.ndarray):
+                hashed.append(obj.shape)
+            return canonical(obj, depth)
+
+        monkeypatch.setattr(cache_module, "canonical_value", spy)
+        result = EvaluationEngine(arch, cache=EvaluationCache()).run(workloads)
+        assert len(result.layers) == len(workloads)
+        assert hashed == []
+        assert not any(hasattr(w.gemm, "_repro_fingerprint") for w in workloads)
+
+    def test_derived_memos_do_not_travel_in_pickles(self):
+        import pickle
+
+        fresh = paper_like_workload()
+        evaluated = paper_like_workload()
+        EvaluationEngine(build_scatter(), cache=EvaluationCache()).run(evaluated)
+        memos = evaluated.__dict__["_repro_memos"]
+        assert {"normalized_weights", "weight_sparsity"} <= set(memos)
+        assert any(key[0] == "average_power" for key in memos if isinstance(key, tuple))
+        # The design-space explorer's operand digest is the only state that ships.
+        assert len(pickle.dumps(evaluated)) == len(pickle.dumps(fresh))
+        digest = workload_fingerprint(evaluated)
+        shipped = pickle.loads(pickle.dumps(evaluated))
+        assert "_repro_memos" not in shipped.__dict__
+        assert shipped.__dict__["_repro_fingerprint"] == digest
+        workload_fingerprint(fresh)
+        assert len(pickle.dumps(evaluated)) == len(pickle.dumps(fresh))
+        # The memos still hold after the pickle, and the copy re-derives them.
+        assert evaluated.__dict__["_repro_memos"] is memos
+        assert result_signature(Simulator(build_scatter()).run(shipped)) == (
+            result_signature(Simulator(build_scatter()).run(fresh))
+        )
+
+
 class TestEngineFacadeEquivalence:
     def test_facade_matches_cached_engine(self, tempo_arch):
         workload = paper_like_workload()
@@ -330,7 +384,13 @@ class TestSweepCaching:
             **kwargs,
         )
 
-    def test_single_field_sweep_reuses_invariant_passes(self):
+    def test_single_field_sweep_reuses_invariant_passes(self, monkeypatch):
+        sparsity_reads = []
+        sparsity = GEMMWorkload.sparsity
+        monkeypatch.setattr(
+            GEMMWorkload, "sparsity",
+            property(lambda w: sparsity_reads.append(w.name) or sparsity.fget(w)),
+        )
         explorer = self.make_explorer()
         space = DesignSpace({"core_height": [2, 4, 8, 16]})
         result = explorer.explore(space)
@@ -342,7 +402,7 @@ class TestSweepCaching:
         assert stats["floorplan"].misses == 1
         assert stats["floorplan"].hits == 3
         # Workload sparsity is computed once for the whole sweep.
-        assert stats["sparsity"].misses == 1
+        assert sparsity_reads == ["w"]
         # Every point is a distinct design, so the point stage only misses.
         assert stats["design_point"].misses == 4
         assert stats["design_point"].hits == 0
