@@ -34,7 +34,6 @@ from repro.exec.backends import (
     partition_indices,
     repro_env_snapshot,
     resolve_backend,
-    steal_partition,
 )
 from repro.exec.pool import pool_status, stop_pools
 from repro.exec.shm import (
@@ -105,7 +104,6 @@ __all__ = [
     "set_fetch_hook",
     "shutdown_coordinators",
     "spawn_local_workers",
-    "steal_partition",
     "stop_pools",
     "unlink_all",
 ]

@@ -26,7 +26,6 @@ which is where consumers put the bulky, task-invariant payload.
 from __future__ import annotations
 
 import contextlib
-import math
 import os
 import pickle
 import threading
@@ -35,25 +34,9 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Type, U
 
 from repro.core import observe
 from repro.core.knobs import REPRO_ENV_PREFIX, repro_env_snapshot
-from repro.exec.pool import checkout
+from repro.exec.pool import available_cpus, checkout
 
 TaskFn = Callable[[Any, Any], Any]
-
-
-def available_cpus() -> int:
-    """CPUs this process may actually run on.
-
-    Prefers the scheduler affinity mask over ``os.cpu_count()`` so
-    cpuset-restricted containers (docker ``--cpuset-cpus``, K8s, taskset) size
-    their pools -- and gate their wall-clock expectations -- on effective
-    cores, not the host's.
-    """
-    if hasattr(os, "sched_getaffinity"):
-        try:
-            return len(os.sched_getaffinity(0)) or 1
-        except OSError:  # pragma: no cover - exotic platforms
-            pass
-    return os.cpu_count() or 1
 
 
 def default_jobs() -> int:
@@ -90,59 +73,6 @@ def partition_indices(count: int, parts: int) -> List[List[int]]:
         size = base + (1 if index < extra else 0)
         chunks.append(list(range(start, start + size)))
         start += size
-    return chunks
-
-
-def steal_partition(
-    count: int,
-    workers: int,
-    min_chunk: int = 1,
-    cap: Optional[int] = None,
-    factor: int = 4,
-) -> List[List[int]]:
-    """Size-tiered contiguous chunks for completion-driven (work-stealing) pools.
-
-    Guided self-scheduling: each chunk takes ``ceil(remaining / (workers *
-    factor))`` indices, so early chunks are large (amortizing per-chunk
-    dispatch cost) and the tail degrades to ``min_chunk``-sized pieces -- a
-    straggler can strand at most one small chunk's worth of work, instead of
-    the ``count / workers`` a static one-chunk-per-worker split risks.  Like
-    :func:`partition_indices` this is a pure function of its arguments and the
-    chunks concatenate to ``range(count)``, so reassembling results by chunk
-    position is byte-identical to serial no matter which worker pulled which
-    chunk.  ``cap`` bounds chunk length (e.g. a trial-batch working-set cap).
-    """
-    if count < 0:
-        raise ValueError(f"count must be non-negative, got {count}")
-    if workers < 1:
-        raise ValueError(f"workers must be positive, got {workers}")
-    if min_chunk < 1:
-        raise ValueError(f"min_chunk must be positive, got {min_chunk}")
-    if cap is not None and cap < 1:
-        raise ValueError(f"cap must be positive when given, got {cap}")
-    if factor < 1:
-        raise ValueError(f"factor must be positive, got {factor}")
-    if count == 0:
-        return []
-    if workers == 1:
-        # Stealing needs at least two consumers; with one, minimizing dispatch
-        # round-trips wins, so emit the coarsest chunks the cap allows.
-        size = count if cap is None else cap
-        return [
-            list(range(start, min(start + size, count)))
-            for start in range(0, count, size)
-        ]
-    chunks: List[List[int]] = []
-    start = 0
-    remaining = count
-    while remaining:
-        size = max(min_chunk, math.ceil(remaining / (workers * factor)))
-        if cap is not None:
-            size = min(size, cap)
-        size = min(size, remaining)
-        chunks.append(list(range(start, start + size)))
-        start += size
-        remaining -= size
     return chunks
 
 
@@ -317,11 +247,11 @@ class ProcessBackend(ExecutionBackend):
     """Process-pool execution with chunked scheduling and ordered results.
 
     Every dispatch leases the persistent warm pool for ``jobs`` workers from
-    :mod:`repro.exec.pool`.  Tasks ship in size-tiered contiguous chunks
-    (:func:`steal_partition`) so the per-chunk pickling of the shared context
-    amortizes over many tasks while load still balances.  Results are
-    reassembled in submission order, so the output is positionally identical
-    to :class:`SerialBackend`.
+    :mod:`repro.exec.pool`.  Tasks ship in near-equal contiguous chunks, four
+    per worker (:func:`partition_indices`), so the per-chunk pickling of the
+    shared context amortizes over many tasks while workers that finish early
+    pull the next pending chunk.  Results are reassembled in submission order,
+    so the output is positionally identical to :class:`SerialBackend`.
     """
 
     name = "processes"
@@ -339,13 +269,12 @@ class ProcessBackend(ExecutionBackend):
         return checkout(self._jobs)
 
     def _chunks(self, tasks: List[Any]) -> List[List[Any]]:
-        # Size-tiered chunks: workers pull the next pending chunk as they
-        # finish (ProcessPoolExecutor scheduling is completion-driven), so the
-        # decaying sizes bound how much work a straggler can strand while the
-        # leading chunks keep per-chunk shipping amortized.
+        # Four chunks per worker: ProcessPoolExecutor scheduling is
+        # completion-driven, so a straggler strands at most a quarter of its
+        # share while per-chunk shipping stays amortized.
         return [
             tasks[bounds[0] : bounds[-1] + 1]
-            for bounds in steal_partition(len(tasks), self._jobs)
+            for bounds in partition_indices(len(tasks), 4 * self._jobs)
         ]
 
     @staticmethod

@@ -81,7 +81,7 @@ from repro.exec.backends import (
     TaskFn,
     _run_chunk,
     _validate_jobs,
-    steal_partition,
+    partition_indices,
 )
 
 #: Protocol identifier exchanged at handshake; workers and coordinators with
@@ -745,7 +745,8 @@ class ClusterBackend(ExecutionBackend):
     ``$REPRO_CLUSTER_HOST`` / ``$REPRO_CLUSTER_PORT`` (127.0.0.1:7621), and
     ``port=0`` binds an ephemeral port (useful for tests; read it back from
     :attr:`port` after the coordinator starts).  Like the process backend,
-    tasks and the shared context must be picklable, and results keep task
+    tasks and the shared context must be picklable, tasks ship in four
+    near-equal contiguous chunks per connected worker, and results keep task
     order -- a cluster run is byte-identical to a serial one.
     """
 
@@ -840,13 +841,13 @@ class ClusterBackend(ExecutionBackend):
         coordinator = self._ensure_coordinator()
         coordinator.wait_for_workers(self._min_workers, self._wait_s)
         workers = max(coordinator.worker_count, 1)
-        # Same policy as the process backend: size-tiered chunks feed the
-        # completion-driven assignment loop, so fast workers pull more chunks
-        # and a straggler (or a death-requeued chunk) strands at most one
-        # small tail chunk's worth of work.
+        # Same policy as the process backend: four near-equal chunks per
+        # worker feed the completion-driven assignment loop, so fast workers
+        # pull more chunks and a straggler (or a death-requeued chunk) strands
+        # at most a quarter of its share.
         chunks = [
             tasks[bounds[0] : bounds[-1] + 1]
-            for bounds in steal_partition(len(tasks), workers)
+            for bounds in partition_indices(len(tasks), 4 * workers)
         ]
         nested = coordinator.map_tasks_chunked(
             fn, shared, chunks,

@@ -25,6 +25,9 @@ Correctness guards:
 - **explicit stop** -- ``repro pool stop`` (and ``atexit``) tears everything
   down; a fork-inherited registry is pid-guarded so worker children never
   shut down the parent's pools.
+- **BLAS threads** -- every worker pins numpy's OpenBLAS to
+  :func:`blas_threads_per_worker` threads at spawn, so ``jobs`` workers split
+  the CPUs instead of each running a CPU-wide BLAS thread pool.
 
 Workers outlive the dispatch that forked them, so per-worker memos must not
 leak between independent callers: consumers key them by a token minted per
@@ -35,12 +38,16 @@ call, next to a content digest of the inputs (see
 from __future__ import annotations
 
 import atexit
+import ctypes
+import glob
 import multiprocessing
 import os
 import threading
 import time
 from concurrent.futures import ProcessPoolExecutor
 from typing import Callable, Dict, List, Optional, Tuple
+
+import numpy as np
 
 from repro.core import knobs
 from repro.core.knobs import repro_env_snapshot
@@ -54,13 +61,74 @@ def _idle_seconds() -> float:
     return float(knobs.value(POOL_IDLE_ENV))
 
 
+def available_cpus() -> int:
+    """CPUs this process may actually run on.
+
+    Prefers the scheduler affinity mask over ``os.cpu_count()`` so
+    cpuset-restricted containers (docker ``--cpuset-cpus``, K8s, taskset) size
+    their pools -- and gate their wall-clock expectations -- on effective
+    cores, not the host's.
+    """
+    if hasattr(os, "sched_getaffinity"):
+        try:
+            return len(os.sched_getaffinity(0)) or 1
+        except OSError:  # pragma: no cover - exotic platforms
+            pass
+    return os.cpu_count() or 1
+
+
+def blas_threads_per_worker(jobs: int) -> int:
+    """BLAS threads each worker of a ``jobs``-worker pool runs: an even CPU split."""
+    return max(1, available_cpus() // jobs)
+
+
+#: numpy's bundled OpenBLAS names its thread controls with a
+#: ``scipy_openblas`` prefix and ``64_`` suffix; plain OpenBLAS builds do not.
+_OPENBLAS_SYMBOLS = ("scipy_openblas_{}64_", "openblas_{}")
+
+
+def openblas_function(name: str) -> Optional[Callable[..., int]]:
+    """numpy's OpenBLAS ``{name}`` control (e.g. ``set_num_threads``), or None.
+
+    Opens the library numpy's wheel bundles in ``numpy.libs`` -- ``dlopen`` of
+    an already-loaded path returns the same handle -- so the control acts on
+    the BLAS numpy itself calls.
+    """
+    libs = os.path.dirname(np.__file__) + ".libs"
+    for path in glob.glob(os.path.join(libs, "*openblas*")):
+        try:
+            library = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for pattern in _OPENBLAS_SYMBOLS:
+            function = getattr(library, pattern.format(name), None)
+            if function is not None:
+                return function
+    return None
+
+
+def _pin_blas_threads(threads: int) -> None:
+    """Pool-worker initializer: size numpy's BLAS to ``threads`` (no-op without it)."""
+    set_threads = openblas_function("set_num_threads")
+    if set_threads is not None:
+        set_threads(threads)
+
+
+def _executor(jobs: int) -> ProcessPoolExecutor:
+    return ProcessPoolExecutor(
+        max_workers=jobs,
+        initializer=_pin_blas_threads,
+        initargs=(blas_threads_per_worker(jobs),),
+    )
+
+
 class _WarmPool:
     """One persistent executor plus the bookkeeping that keeps it honest."""
 
     def __init__(self, jobs: int) -> None:
         self.jobs = jobs
         self.env = repro_env_snapshot()
-        self.executor = ProcessPoolExecutor(max_workers=jobs)
+        self.executor = _executor(jobs)
         self.leases = 0
         self.created_at = time.monotonic()
         self.last_released = time.monotonic()
@@ -85,7 +153,7 @@ _OWNER_PID = os.getpid()
 
 def _private(jobs: int) -> Lease:
     """A single-use executor, torn down by its release."""
-    executor = ProcessPoolExecutor(max_workers=jobs)
+    executor = _executor(jobs)
     return executor, lambda: executor.shutdown(wait=True)
 
 

@@ -42,7 +42,8 @@ from repro.core.cache import EvaluationCache
 from repro.core.knobs import forced_env as _forced_env
 from repro.core.knobs import raw_value as _knob_raw
 from repro.core.observe import observe, stage_totals
-from repro.exec.backends import available_cpus
+from repro.exec.backends import available_cpus, default_jobs
+from repro.exec.pool import blas_threads_per_worker
 from repro.onn.layers import (
     DTYPE_MODE_ENV,
     FORWARD_MODE_ENV,
@@ -291,6 +292,8 @@ def bench_scenarios(
             "python": sys.version.split()[0],
             "numpy": np.__version__,
             "cpus": available_cpus(),
+            # What each worker of a default-sized process pool pins its BLAS to.
+            "blas_threads_per_worker": blas_threads_per_worker(default_jobs()),
         },
         "settings": {
             "repeats": repeats,

@@ -5,8 +5,9 @@ evaluation inputs, the :class:`~repro.variation.models.NoiseSpec`, the trial
 count and the scenario seed, plus (execution detail, excluded from the request
 fingerprint) which execution backend runs the trials.  :func:`run_monte_carlo`
 computes the noise-free reference once, ships a picklable
-:class:`_TrialContext` to the backend, maps the trial indices, and folds the
-per-trial results in trial order -- so serial, thread and process runs produce
+:class:`_TrialContext` to the backend, maps near-equal contiguous trial chunks
+(the same partition on every backend), and folds the per-trial results in
+trial order -- so serial, thread, process and cluster runs produce
 bit-identical :class:`~repro.variation.accuracy.AccuracyReport` records.
 
 :func:`evaluate_accuracy` is the one-call entry point: it routes the request
@@ -17,26 +18,16 @@ effective bits and the whole Monte Carlo study on the engine cache.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from dataclasses import dataclass, field
-from typing import Any, List, Optional, Sequence, Tuple, Union
+from typing import Any, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.core.cache import digest, memoized_fingerprint
 from repro.core.observe import timed
 from repro.core.snr import SNRAnalyzer, SNRReport
-from repro.exec import (
-    ShmHandle,
-    as_array,
-    as_object,
-    partition_indices,
-    publish_array,
-    publish_object,
-    resolve_backend,
-    steal_partition,
-)
+from repro.exec import partition_indices, resolve_backend
 from repro.onn.layers import (
     Module,
     compute_dtype,
@@ -172,17 +163,14 @@ class AccuracyRequest:
 class _TrialContext:
     """Picklable task-invariant payload shipped once per worker chunk.
 
-    Under task-shipping backends the bulky fields
-    (``model``, ``inputs``, ``reference``) are :class:`~repro.exec.ShmHandle`
-    references to payloads published once per host instead of per-chunk
-    pickled copies; workers materialize them via :func:`_materialized`
-    (content-addressed, so repeated studies reuse the worker's cached
-    attachment and unpickled model).
+    Task-shipping backends pickle it as is: a study's model and input and
+    reference batches are a few KB to a few tens of KB, below the shm
+    transport's inline threshold, where a handle would carry the same bytes.
     """
 
-    model: Union[Module, ShmHandle]
-    inputs: Union[np.ndarray, ShmHandle]
-    reference: Union[np.ndarray, ShmHandle]
+    model: Module
+    inputs: np.ndarray
+    reference: np.ndarray
     spec: NoiseSpec
     input_bits: int
     weight_bits: int
@@ -202,38 +190,6 @@ class _TrialContext:
     dtype_mode: str = "float64"
 
 
-def _materialized(shared: _TrialContext) -> _TrialContext:
-    """Resolve any shm handles in the context to live arrays/objects.
-
-    A no-op for in-process backends (which never encode handles).  Worker-side
-    resolution is cached by content digest, so every chunk of a study -- and
-    every later study over the same model -- shares one attachment and one
-    unpickled model per worker process.
-    """
-    if not (
-        isinstance(shared.model, ShmHandle)
-        or isinstance(shared.inputs, ShmHandle)
-        or isinstance(shared.reference, ShmHandle)
-    ):
-        return shared
-    return dataclasses.replace(
-        shared,
-        model=as_object(shared.model),
-        inputs=as_array(shared.inputs),
-        reference=as_array(shared.reference),
-    )
-
-
-def _shm_context(shared: _TrialContext) -> _TrialContext:
-    """Publish the context's bulky fields and swap in their handles."""
-    return dataclasses.replace(
-        shared,
-        model=publish_object(shared.model),
-        inputs=publish_array(shared.inputs),
-        reference=publish_array(shared.reference),
-    )
-
-
 @dataclass(frozen=True)
 class _SlabRows:
     """A contiguous row window of the study-wide Philox slab, by construction.
@@ -242,8 +198,8 @@ class _SlabRows:
     pure, memoized function of ``(seed, trials, draws, dtype)``
     (:func:`philox_fused_normals`), so a worker re-deriving it locally gets
     the identical read-only array without any transfer or content hashing --
-    cheaper than shm even on the same host, and a ~100-byte task on the
-    cluster wire.  The per-process memo means one generation per study per
+    cheaper than pickled rows even on the same host, and a ~100-byte task on
+    the cluster wire.  The per-process memo means one generation per study per
     worker (fork-pool workers usually inherit the parent's already-warm memo).
     """
 
@@ -263,7 +219,6 @@ class _SlabRows:
 
 def _run_trial(shared: _TrialContext, trial: int) -> TrialResult:
     """One Monte Carlo trial: a pure function of the shared context and its index."""
-    shared = _materialized(shared)
     with pinned_modes(shared.forward_mode, shared.dtype_mode):
         return _run_trial_pinned(shared, trial)
 
@@ -304,7 +259,6 @@ def _run_trial_chunk(shared: _TrialContext, trials: List[int]) -> List[TrialResu
     one batched numpy pass per layer per resolved-bits group instead of
     ``len(trials)`` full model clones.
     """
-    shared = _materialized(shared)
     with pinned_modes(shared.forward_mode, shared.dtype_mode):
         return _run_trial_chunk_pinned(shared, trials)
 
@@ -369,13 +323,13 @@ def _run_philox_chunk(
 
     ``task`` is ``(trial_indices, draws)`` where ``draws`` holds each trial's
     row of the study-wide Philox slab: the leading ``loss_draw_count`` columns
-    are the link-loss draws, the rest the fused weight-noise block.  Under
-    shm transport ``draws`` is a :class:`_SlabRows` window into the published
-    slab instead of a pickled row copy.  No per-trial generator is ever
-    constructed -- the whole chunk consumes numpy slices of one matrix, which
-    is what makes this mode's RNG cost nearly independent of the trial count.
+    are the link-loss draws, the rest the fused weight-noise block.
+    Task-shipping backends send a :class:`_SlabRows` generation spec that the
+    worker resolves to those rows instead of a pickled row copy.  No per-trial
+    generator is ever constructed -- the whole chunk consumes numpy slices of
+    one matrix, which is what makes this mode's RNG cost nearly independent of
+    the trial count.
     """
-    shared = _materialized(shared)
     trials, draws = task
     if isinstance(draws, _SlabRows):
         with timed("rng"):
@@ -481,11 +435,6 @@ def run_monte_carlo(
         dtype_mode=dt_mode,
     )
     backend = resolve_backend(request.backend, request.jobs)
-    if backend.ships_tasks:
-        # Zero-copy transport: the model/inputs/reference travel as
-        # content-addressed handles; workers resolve (and cache) them once
-        # per host instead of unpickling per-chunk copies.
-        shared = _shm_context(shared)
     if fwd_mode == "loop":
         # Legacy reference path: one task per trial, full model clone each.
         with backend.session():
@@ -493,22 +442,14 @@ def run_monte_carlo(
                 _run_trial, list(range(request.trials)), shared=shared
             )
     else:
-        # Trial-batched path: shard the trial axis into contiguous chunks,
-        # capped at _TRIAL_CHUNK_CAP trials so the stacked per-layer
-        # temporaries stay cache-resident.  In-process backends keep the
-        # near-equal static partition; task-shipping pools get size-tiered
-        # chunks that their completion-driven schedulers pull as workers free
-        # up, so a straggler strands at most one small tail chunk.  Either
-        # way the partition is a pure function of (trials, jobs), and
-        # per-trial seeds (or, in philox mode, per-trial slab rows) make
-        # results chunking-invariant anyway.
-        if backend.ships_tasks:
-            chunks = steal_partition(
-                request.trials, backend.jobs, cap=_TRIAL_CHUNK_CAP
-            )
-        else:
-            parts = max(backend.jobs, math.ceil(request.trials / _TRIAL_CHUNK_CAP))
-            chunks = partition_indices(request.trials, parts)
+        # Trial-batched path: on every backend, shard the trial axis into
+        # near-equal contiguous chunks -- one per worker, capped at
+        # _TRIAL_CHUNK_CAP trials so the stacked per-layer temporaries stay
+        # cache-resident.  Coarse chunks keep each worker's batched forward
+        # wide; per-trial seeds (or, in philox mode, per-trial slab rows)
+        # make results chunking-invariant anyway.
+        parts = max(backend.jobs, math.ceil(request.trials / _TRIAL_CHUNK_CAP))
+        chunks = partition_indices(request.trials, parts)
         if mode == "philox" and request.noise.supports_fused_sampling():
             # Counter-based fast path: generate the whole study's draws as one
             # (trials, loss + weight draws) Philox call in the parent, then
@@ -524,7 +465,7 @@ def run_monte_carlo(
             if backend.ships_tasks:
                 # Each task carries a ~100-byte generation spec; the worker
                 # re-derives its rows from the memoized pure slab function
-                # instead of receiving pickled (or even shm-published) bytes.
+                # instead of receiving pickled row bytes.
                 tasks = [
                     (
                         chunk,

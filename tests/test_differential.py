@@ -9,6 +9,10 @@ values, name or pruning (the map/memory passes key on shape only; the
 data-aware energy memos live on each workload), and every set runs in both
 orders.  Every layer's energy breakdown, latency and mapping, and the area
 breakdown, must be bit-identical.
+
+The same file holds the Monte Carlo chunk-invariance property: any contiguous
+partition of the trial range gives the trial results of one whole-range chunk,
+which is what lets every backend shard trials however it likes.
 """
 
 from __future__ import annotations
@@ -16,6 +20,7 @@ from __future__ import annotations
 import dataclasses
 
 import numpy as np
+import pytest
 
 from repro import SimulationConfig, Simulator
 from repro.arch import ArchitectureConfig
@@ -23,6 +28,17 @@ from repro.arch.templates import TEMPLATE_BUILDERS
 from repro.core.cache import EvaluationCache
 from repro.core.engine import EvaluationEngine, resolve_architecture
 from repro.dataflow.gemm import GEMMWorkload
+from repro.onn.models import build_mlp
+from repro.variation import AccuracyRequest, run_monte_carlo, standard_noise
+from repro.variation.accuracy import _weighted_layer_sizes, reference_forward
+from repro.variation.montecarlo import (
+    LinkOperatingPoint,
+    _run_philox_chunk,
+    _run_trial_chunk,
+    _SlabRows,
+    _TrialContext,
+)
+from repro.variation.sampler import philox_fused_normals
 
 SEED = 20250617
 CONFIGS_PER_CASE = 3
@@ -127,3 +143,94 @@ def test_memoized_engine_matches_cache_off_simulator():
     assert shared.stats["memory"].hits > 0
     assert layers == 2 * len(random_cases()) * len(workloads)
 
+
+
+# -- Monte Carlo chunk invariance ------------------------------------------------------
+
+MC_TRIALS = 24
+PARTITIONS_PER_MODE = 4
+_LINK = LinkOperatingPoint(optical_power_mw=1.2, insertion_loss_db=6.0, bandwidth_ghz=5.0)
+
+
+def mc_model_and_inputs():
+    model = build_mlp((16, 24, 12, 6), rng=np.random.default_rng(3))
+    return model, np.random.default_rng(9).normal(size=(32, 16))
+
+
+def random_partition(rng, count):
+    """A random split of ``range(count)`` into contiguous, non-empty chunks."""
+    cuts = rng.choice(np.arange(1, count), size=int(rng.integers(count)), replace=False)
+    bounds = [0, *sorted(int(cut) for cut in cuts), count]
+    return [list(range(start, stop)) for start, stop in zip(bounds, bounds[1:])]
+
+
+def trial_context(rng_mode):
+    model, inputs = mc_model_and_inputs()
+    reference = reference_forward(
+        model, inputs, input_bits=8, weight_bits=8, output_bits=8,
+        effective_bits=_LINK.effective_bits(),
+    )
+    return _TrialContext(
+        model=model, inputs=inputs, reference=reference, spec=standard_noise(),
+        input_bits=8, weight_bits=8, output_bits=8, seed=7, link=_LINK,
+        rng_mode=rng_mode,
+    )
+
+
+def test_seedseq_trial_chunks_are_partition_invariant():
+    rng = np.random.default_rng(SEED)
+    context = trial_context("seedseq")
+    whole = _run_trial_chunk(context, list(range(MC_TRIALS)))
+    assert [result.trial for result in whole] == list(range(MC_TRIALS))
+    for _ in range(PARTITIONS_PER_MODE):
+        chunks = random_partition(rng, MC_TRIALS)
+        split = [r for chunk in chunks for r in _run_trial_chunk(context, chunk)]
+        assert split == whole, [len(chunk) for chunk in chunks]
+
+
+def test_philox_trial_chunks_are_partition_invariant():
+    rng = np.random.default_rng(SEED + 1)
+    context = trial_context("philox")
+    spec, model = context.spec, context.model
+    draws = spec.loss_draw_count() + sum(
+        spec.weight_draw_count(size) for size in _weighted_layer_sizes(model)
+    )
+    slab = philox_fused_normals(context.seed, MC_TRIALS, draws)
+    whole = _run_philox_chunk(context, (list(range(MC_TRIALS)), slab))
+    assert [result.trial for result in whole] == list(range(MC_TRIALS))
+    for _ in range(PARTITIONS_PER_MODE):
+        chunks = random_partition(rng, MC_TRIALS)
+        sliced = [
+            r for chunk in chunks
+            for r in _run_philox_chunk(context, (chunk, slab[chunk[0] : chunk[-1] + 1]))
+        ]
+        rows = [
+            r for chunk in chunks
+            for r in _run_philox_chunk(
+                context,
+                (chunk, _SlabRows(context.seed, MC_TRIALS, draws, "<f8",
+                                  chunk[0], chunk[-1] + 1)),
+            )
+        ]
+        assert sliced == whole, [len(chunk) for chunk in chunks]
+        assert rows == whole, [len(chunk) for chunk in chunks]
+
+
+@pytest.mark.parametrize("rng_mode", ["seedseq", "philox"])
+def test_monte_carlo_on_processes_equals_serial(rng_mode, monkeypatch):
+    monkeypatch.setenv("REPRO_RNG", rng_mode)
+    model, inputs = mc_model_and_inputs()
+    rng = np.random.default_rng(SEED + 2)
+    # Above 128 trials the 64-trial cap splits beyond one chunk per worker.
+    for trials in (1, int(rng.integers(2, 64)), int(rng.integers(129, 200))):
+        reports = {
+            backend: run_monte_carlo(
+                AccuracyRequest(
+                    model, inputs, noise=standard_noise(), trials=trials, seed=11,
+                    backend=backend, jobs=2,
+                ),
+                link=_LINK,
+            )
+            for backend in ("serial", "processes")
+        }
+        assert reports["processes"] == reports["serial"], trials

@@ -1,4 +1,4 @@
-"""Zero-copy transport, warm worker pools, and the work-stealing partition.
+"""Zero-copy transport, warm worker pools, and their BLAS thread pin.
 
 The contracts under test mirror the dispatch-path design:
 
@@ -7,9 +7,9 @@ The contracts under test mirror the dispatch-path design:
 - warm pools reuse worker processes across dispatches, revalidate their
   ``REPRO_*`` snapshot on checkout, reap themselves when idle, and preserve
   the result-store warm start (a second batch runs zero engine passes);
-- ``steal_partition`` is a pure function of its arguments whose chunks
-  concatenate to ``range(count)``, so completion-driven scheduling stays
-  byte-identical to serial no matter which worker drags its feet.
+- every pool worker pins numpy's BLAS to its share of the CPUs at spawn;
+- completion-driven scheduling stays byte-identical to serial no matter which
+  worker drags its feet.
 """
 
 from __future__ import annotations
@@ -42,7 +42,6 @@ from repro.exec import (
     resolve_object,
     run_worker,
     spawn_local_workers,
-    steal_partition,
     stop_pools,
     unlink_all,
 )
@@ -400,42 +399,26 @@ class TestWarmPool:
         )
 
 
-# -- work-stealing partition -----------------------------------------------------------
+# -- BLAS threads per pool worker ------------------------------------------------------
 
 
-class TestStealPartition:
-    @pytest.mark.parametrize("count", [0, 1, 7, 24, 100])
-    @pytest.mark.parametrize("workers", [1, 2, 3, 8])
-    def test_chunks_concatenate_to_range(self, count, workers):
-        chunks = steal_partition(count, workers)
-        flat = [index for chunk in chunks for index in chunk]
-        assert flat == list(range(count))
+def _worker_blas_threads(_task):
+    return pool_mod.openblas_function("get_num_threads")()
 
-    def test_deterministic_pure_function(self):
-        assert steal_partition(100, 3) == steal_partition(100, 3)
 
-    def test_guided_chunks_shrink_toward_the_tail(self):
-        sizes = [len(chunk) for chunk in steal_partition(100, 4)]
-        assert sizes[0] == max(sizes)
-        assert sizes[-1] == min(sizes)
-        assert sizes == sorted(sizes, reverse=True)
-
-    def test_cap_bounds_every_chunk(self):
-        chunks = steal_partition(100, 2, cap=8)
-        assert all(len(chunk) <= 8 for chunk in chunks)
-        assert [i for c in chunks for i in c] == list(range(100))
-
-    def test_single_worker_minimizes_round_trips(self):
-        assert steal_partition(24, 1) == [list(range(24))]
-        assert [len(c) for c in steal_partition(24, 1, cap=10)] == [10, 10, 4]
-
-    def test_invalid_arguments_fail_loudly(self):
-        with pytest.raises(ValueError):
-            steal_partition(-1, 2)
-        with pytest.raises(ValueError):
-            steal_partition(4, 0)
-        with pytest.raises(ValueError):
-            steal_partition(4, 2, cap=0)
+class TestBlasThreadPin:
+    @pytest.mark.skipif(
+        pool_mod.openblas_function("get_num_threads") is None,
+        reason="numpy's BLAS exposes no OpenBLAS thread control",
+    )
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_warm_worker_runs_its_share_of_the_cpus(self, jobs):
+        executor, release = pool_mod.checkout(jobs)
+        try:
+            threads = set(executor.map(_worker_blas_threads, range(2 * jobs)))
+        finally:
+            release()
+        assert threads == {max(1, pool_mod.available_cpus() // jobs)}
 
 
 # -- straggler determinism -------------------------------------------------------------
