@@ -25,21 +25,11 @@ from pathlib import Path
 from typing import Dict, List, Optional, Sequence
 
 from repro.core.report import format_table, save_result_text
-from repro.exec import BACKENDS
-from repro.scenarios import (
-    REGISTRY,
-    BatchRunner,
-    ResultStore,
-    default_store_root,
-)
-from repro.scenarios.bench import (
-    DEFAULT_BENCH_PATH,
-    bench_cluster_scaling,
-    bench_dispatch_comparison,
-    bench_scenarios,
-    check_speedups,
-    write_bench_report,
-)
+from repro.scenarios import REGISTRY, ResultStore, default_store_root
+
+# The batch runner, the timing harness and the execution backends are imported
+# by the commands (and the parser) that use them, so importing this module --
+# which registers the scenario catalog -- loads none of them.
 
 
 def _positive_int(text: str) -> int:
@@ -155,6 +145,8 @@ def _cmd_batch(args: argparse.Namespace) -> int:
     if not names:
         print("no scenarios selected", file=sys.stderr)
         return 1
+    from repro.scenarios.runner import BatchRunner
+
     store = _store_from_args(args)
     runner = BatchRunner(
         store=store, backend=args.backend, jobs=args.jobs, force=args.force
@@ -238,6 +230,14 @@ def _cmd_worker(args: argparse.Namespace) -> int:
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
+    from repro.scenarios.bench import (
+        bench_cluster_scaling,
+        bench_dispatch_comparison,
+        bench_scenarios,
+        check_speedups,
+        write_bench_report,
+    )
+
     names = _select_names(args)
     if not names:
         print("no scenarios selected", file=sys.stderr)
@@ -578,6 +578,9 @@ def _cmd_lint(args: argparse.Namespace) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    from repro.exec import BACKENDS
+    from repro.scenarios.bench import DEFAULT_BENCH_PATH
+
     parser = argparse.ArgumentParser(
         prog="repro",
         description="Reproduce the paper's figure/table experiments from the scenario registry.",

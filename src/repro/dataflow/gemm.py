@@ -112,7 +112,10 @@ class GEMMWorkload:
         if self.pruning_mask is not None:
             return float(1.0 - self.pruning_mask.mean())
         if self.weight_values is not None:
-            return float(np.mean(self.weight_values == 0.0))
+            # Counting avoids the full-matrix bool temporary of ``mean(w == 0)``;
+            # both are the correctly rounded ``zeros / size``.
+            size = self.weight_values.size
+            return float((size - np.count_nonzero(self.weight_values)) / size)
         return 0.0
 
     def effective_weights(self) -> Optional[np.ndarray]:

@@ -8,13 +8,9 @@ deterministic result ordering -- and extracts the Pareto frontier over the
 energy / latency / area objectives.
 """
 
-from repro.explore.dse import (
-    DesignPoint,
-    DesignSpace,
-    DesignSpaceExplorer,
-    ExplorationResult,
-    pareto_front,
-)
+import importlib
+
+from repro.explore.point import DesignPoint
 from repro.explore.search import (
     CoordinateDescent,
     GridSearch,
@@ -22,6 +18,20 @@ from repro.explore.search import (
     SearchStrategy,
     STRATEGIES,
 )
+
+#: Served from :mod:`repro.explore.dse` on first access: the explorer imports
+#: the execution backends and the Monte Carlo subsystem, which a scenario spec
+#: validating its sweep axes must not pay for.
+_DSE_NAMES = frozenset(
+    ("DesignSpace", "DesignSpaceExplorer", "ExplorationResult", "pareto_front")
+)
+
+
+def __getattr__(name: str) -> object:
+    if name in _DSE_NAMES:
+        return getattr(importlib.import_module("repro.explore.dse"), name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "CoordinateDescent",

@@ -8,7 +8,7 @@ workers while feedback-driven strategies still observe every completed evaluatio
 
 1. the explorer calls :meth:`SearchStrategy.reset` once per exploration;
 2. it then repeatedly calls :meth:`SearchStrategy.propose` with the design space
-   and the history of evaluated :class:`~repro.explore.dse.DesignPoint` records
+   and the history of evaluated :class:`~repro.explore.point.DesignPoint` records
    (in evaluation order, including repeats), evaluating each returned batch;
 3. an empty batch ends the exploration.
 
@@ -24,7 +24,8 @@ from typing import Dict, List, Optional, Sequence, TYPE_CHECKING
 import numpy as np
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.explore.dse import DesignPoint, DesignSpace
+    from repro.explore.dse import DesignSpace
+    from repro.explore.point import DesignPoint
 
 Overrides = Dict[str, object]
 

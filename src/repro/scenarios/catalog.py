@@ -13,7 +13,7 @@ Scenario names match the stems of ``benchmarks/results/<name>.txt``.
 from __future__ import annotations
 
 import time
-from typing import Dict
+from typing import TYPE_CHECKING, Dict
 
 import numpy as np
 
@@ -34,7 +34,6 @@ from repro.core.report import render_breakdown, scale_breakdown
 from repro.dataflow.gemm import GEMMWorkload
 from repro.dataflow.mapping import DataflowMapper
 from repro.devices.response import QuadraticPhaseShifterResponse, TabulatedResponse
-from repro.explore import DesignSpace, DesignSpaceExplorer
 from repro.layout import SignalFlowFloorplanner, naive_footprint_sum_um2
 from repro.onn import ONNConversionConfig, convert_to_onn, extract_workloads
 from repro.onn.layers import dtype_mode
@@ -51,7 +50,13 @@ from repro.scenarios.workloads import (
     scatter_conv_workload,
 )
 from repro.utils.format import format_table
-from repro.variation import AccuracyRequest, standard_noise
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.variation.montecarlo import AccuracyRequest
+
+# The explorer, the Monte Carlo subsystem and the execution backends are
+# imported inside the builders that use them: registering the catalog, and
+# running the paper figures, loads none of them.
 
 # ---------------------------------------------------------------------------------
 # Table I: PTC taxonomy
@@ -982,6 +987,7 @@ def _check_dse_backend_scaling(result: ScenarioResult) -> None:
 )
 def _build_dse_backend_scaling(ctx: ScenarioContext) -> ScenarioResult:
     from repro.exec import available_cpus
+    from repro.explore.dse import DesignSpaceExplorer
 
     jobs = int(ctx.params["jobs"])
     space = ctx.design_space()
@@ -1082,6 +1088,8 @@ def _check_dse_scaling(result: ScenarioResult) -> None:
     verify=_check_dse_scaling,
 )
 def _build_dse_scaling(ctx: ScenarioContext) -> ScenarioResult:
+    from repro.explore.dse import DesignSpaceExplorer
+
     space = ctx.design_space()
     workload = paper_gemm()
 
@@ -1167,6 +1175,8 @@ def _mc_request(
     ctx: ScenarioContext, noise, reference: str = "quantized"
 ) -> AccuracyRequest:
     """An AccuracyRequest from the scenario's shared model/input/seed parameters."""
+    from repro.variation.montecarlo import AccuracyRequest
+
     jobs = int(ctx.params.get("jobs", 0)) or None
     backend = str(ctx.params.get("backend", "serial"))
     return AccuracyRequest(
@@ -1248,6 +1258,8 @@ def _check_variation_robustness(result: ScenarioResult) -> None:
     verify=_check_variation_robustness,
 )
 def _build_variation_robustness(ctx: ScenarioContext) -> ScenarioResult:
+    from repro.variation.models import standard_noise
+
     arch = build_tempo()
     base = standard_noise()
     rows = []
@@ -1340,6 +1352,8 @@ def _check_accuracy_vs_precision(result: ScenarioResult) -> None:
     verify=_check_accuracy_vs_precision,
 )
 def _build_accuracy_vs_precision(ctx: ScenarioContext) -> ScenarioResult:
+    from repro.variation.models import standard_noise
+
     noise = standard_noise().scaled(0.5)
     bits_axis = tuple(
         int(b) for b in str(ctx.params["precision_bits"]).split(",") if b.strip()
@@ -1442,6 +1456,9 @@ def _check_accuracy_energy_pareto(result: ScenarioResult) -> None:
     verify=_check_accuracy_energy_pareto,
 )
 def _build_accuracy_energy_pareto(ctx: ScenarioContext) -> ScenarioResult:
+    from repro.variation.models import standard_noise
+    from repro.variation.montecarlo import AccuracyRequest
+
     model = mc_classifier_model(seed=int(ctx.params["model_seed"]))
     inputs = mc_classifier_inputs(
         samples=int(ctx.params["samples"]), seed=int(ctx.params["input_seed"])

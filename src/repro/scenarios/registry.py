@@ -22,7 +22,18 @@ import difflib
 import json
 import time
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Iterator, List, Mapping, Optional, Sequence, Union
+from typing import (
+    TYPE_CHECKING,
+    Any,
+    Callable,
+    Dict,
+    Iterator,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Union,
+)
 
 import numpy as np
 
@@ -31,9 +42,11 @@ from repro.core.cache import EvaluationCache
 from repro.core.config import SimulationConfig
 from repro.core.engine import EvaluationEngine, SimulationResult
 from repro.core.knobs import repro_env_snapshot
-from repro.explore.dse import DesignSpace, DesignSpaceExplorer
 from repro.scenarios.spec import ScenarioResult, ScenarioSpec
 from repro.scenarios.store import ResultStore, scenario_fingerprint
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.explore.dse import DesignSpace, DesignSpaceExplorer
 
 BuildFn = Callable[["ScenarioContext"], ScenarioResult]
 VerifyFn = Callable[[ScenarioResult], None]
@@ -75,6 +88,8 @@ class ScenarioContext:
         **kwargs: Any,
     ) -> DesignSpaceExplorer:
         """A design-space explorer wired to the batch-shared cache."""
+        from repro.explore.dse import DesignSpaceExplorer
+
         kwargs.setdefault("cache", self.cache)
         return DesignSpaceExplorer(builder, workloads, **kwargs)
 
@@ -82,6 +97,8 @@ class ScenarioContext:
         """The spec's declarative sweep axes as a DesignSpace."""
         if not self.spec.sweep:
             raise ValueError(f"scenario {self.spec.name!r} declares no sweep axes")
+        from repro.explore.dse import DesignSpace
+
         return DesignSpace.from_axes(self.spec.sweep)
 
     def evaluate_accuracy(self, arch: Architecture, request) -> object:

@@ -23,7 +23,7 @@ from typing import Any, Dict, Mapping, Optional, Sequence, Tuple
 from repro.arch.architecture import ArchitectureConfig
 from repro.arch.templates import TEMPLATE_BUILDERS
 from repro.core.config import SimulationConfig
-from repro.explore.dse import DesignPoint, validate_sweep_axes
+from repro.explore.point import DesignPoint, validate_sweep_axes
 from repro.explore.search import STRATEGIES
 
 _ARCH_FIELDS = {f.name for f in dataclasses.fields(ArchitectureConfig)}

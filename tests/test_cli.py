@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import os
 import subprocess
 import sys
@@ -153,16 +154,81 @@ def test_python_dash_m_repro_entry_point(tmp_path):
     assert "table1_taxonomy" in proc.stdout
 
 
+#: Modules the nine paper figures never use: importing the CLI (which registers
+#: the catalog) and running the figures must not load them.
+_OFF_FIGURE_PATH = (
+    "networkx",
+    "repro.exec",
+    "repro.variation",
+    "repro.explore.dse",
+    "repro.scenarios.bench",
+    "repro.scenarios.runner",
+)
+
+_FIGURE_SCENARIOS = (
+    "table1_taxonomy",
+    "fig6_layout",
+    "fig7_tempo_validation",
+    "fig8_lt_validation",
+    "fig9a_wavelength_sweep",
+    "fig9b_bitwidth_sweep",
+    "fig10a_layout_aware",
+    "fig10b_data_aware",
+    "fig11_heterogeneous",
+)
+
+_IMPORT_PROBE = """
+import json, sys
+
+def loaded():
+    return sorted(
+        m for m in sys.modules
+        if any(m == p or m.startswith(p + ".") for p in PREFIXES)
+    )
+
+import repro.cli
+from repro.core.cache import EvaluationCache
+from repro.scenarios import REGISTRY
+
+after_import = loaded()
+cache = EvaluationCache()
+for name in SCENARIOS:
+    REGISTRY.run(name, cache=cache)
+after_figures = loaded()
+from repro.scenarios import BatchRunner, bench_scenarios
+from repro.explore import DesignSpaceExplorer
+import repro.explore.dse as dse
+import repro.explore
+print(json.dumps({
+    "after_import": after_import,
+    "after_figures": after_figures,
+    "lazy": [BatchRunner.__module__, bench_scenarios.__module__,
+             DesignSpaceExplorer.__module__],
+    "same_point": dse.DesignPoint is repro.explore.DesignPoint,
+}))
+"""
+
+
 def test_cli_import_does_not_load_networkx():
+    """Nor, through the nine paper figures, exec/variation/DSE/bench/runner."""
     env = dict(os.environ)
     env["PYTHONPATH"] = str(REPO_ROOT / "src") + os.pathsep + env.get("PYTHONPATH", "")
+    probe = (
+        f"PREFIXES = {_OFF_FIGURE_PATH!r}\nSCENARIOS = {_FIGURE_SCENARIOS!r}\n"
+        + _IMPORT_PROBE
+    )
     proc = subprocess.run(
-        [sys.executable, "-c",
-         "import sys, repro.cli; print('networkx' in sys.modules)"],
-        capture_output=True, text=True, env=env, timeout=120,
+        [sys.executable, "-c", probe],
+        capture_output=True, text=True, env=env, timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    report = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert report["after_import"] == []
+    assert report["after_figures"] == []
+    assert report["lazy"] == [
+        "repro.scenarios.runner", "repro.scenarios.bench", "repro.explore.dse"
+    ]
+    assert report["same_point"] is True
 
 
 def test_console_script_is_declared():

@@ -60,6 +60,24 @@ class TestDataAwareness:
         gemm = GEMMWorkload("g", m=1, n=2, k=2, weight_values=weights)
         assert gemm.sparsity == pytest.approx(0.5)
 
+    def test_sparsity_counts_like_the_mean_of_zero_flags(self):
+        rng = np.random.default_rng(2024)
+        specials = np.array([0.0, -0.0, np.nan, np.inf, -np.inf])
+        for _ in range(200):
+            k, n = (int(d) for d in rng.integers(1, 40, size=2))
+            base = rng.normal(size=(k + 3, n + 2))
+            hits = rng.random(base.shape) < rng.uniform(0.0, 0.9)
+            base[hits] = rng.choice(specials, size=int(hits.sum()))
+            views = (
+                base[:k, :n],
+                np.asfortranarray(base[:k, :n]),
+                base[1 : k + 1, 2 : n + 2],
+                base.T[:n, :k].T,
+            )
+            for weights in views:
+                gemm = GEMMWorkload("g", m=1, n=n, k=k, weight_values=weights)
+                assert gemm.sparsity == float(np.mean(weights == 0.0))
+
     def test_sparsity_without_values(self):
         assert GEMMWorkload("g", m=1, n=1, k=1).sparsity == 0.0
 

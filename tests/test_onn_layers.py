@@ -1,5 +1,7 @@
 """Tests for the TorchONN-lite layers: forward correctness and GEMM extraction."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -119,6 +121,35 @@ class TestConv2d:
         assert gemm.layer_type == "conv"
         assert out.shape == (8, 10, 10)
 
+    @pytest.mark.parametrize("stride,padding,pruned", [(1, 1, False), (2, 0, True), (3, 2, True)])
+    def test_extract_gemms_lowers_once_and_matches_forward(
+        self, monkeypatch, stride, padding, pruned
+    ):
+        rng = np.random.default_rng(7)
+        conv = Conv2d(3, 5, 3, stride=stride, padding=padding, rng=rng)
+        conv.bias = rng.normal(size=5)
+        if pruned:
+            conv.pruning_mask = rng.random(conv.weight.shape) > 0.4
+        x = rng.normal(size=(3, 11, 9))
+        expected = conv.forward(x)
+        calls = []
+        lower = Conv2d._im2col
+
+        def counting(self, arr):
+            calls.append(arr.shape)
+            return lower(self, arr)
+
+        monkeypatch.setattr(Conv2d, "_im2col", counting)
+        gemms, out = conv.extract_gemms(x)
+        assert len(calls) == 1
+        assert out.dtype == expected.dtype and out.shape == expected.shape
+        assert out.tobytes() == expected.tobytes()
+        gemm = gemms[0]
+        weight = conv.effective_weight().reshape(conv.out_channels, -1)
+        np.testing.assert_array_equal(gemm.weight_values, weight.T)
+        product = gemm.input_values @ gemm.weight_values + conv.bias
+        np.testing.assert_array_equal(product.T.reshape(expected.shape), expected)
+
     def test_invalid_construction(self):
         with pytest.raises(ValueError):
             Conv2d(1, 1, 0)
@@ -170,6 +201,43 @@ class TestActivationsAndPooling:
         gelu = GELU()
         assert gelu(np.array([5.0]))[0] == pytest.approx(5.0, abs=1e-2)
         assert abs(gelu(np.array([-5.0]))[0]) < 1e-2
+
+    @staticmethod
+    def _gelu_inputs(dtype):
+        rng = np.random.default_rng(20)
+        tiny = np.finfo(dtype).tiny
+        edges = np.array(
+            [0.0, -0.0, 1e3, -1e3, 1.0, -1.0, tiny, -tiny, tiny / 8, -tiny / 8, 3.0, -3.0]
+        )
+        return np.concatenate(
+            [edges, rng.normal(scale=2.0, size=4000), rng.uniform(-40, 40, size=4000)]
+        ).astype(dtype)
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_gelu_is_the_multiplied_cube_formula(self, dtype):
+        x = self._gelu_inputs(dtype)
+        expected = 0.5 * x * (1.0 + np.tanh(math.sqrt(2.0 / math.pi) * (x + 0.044715 * (x * x * x))))
+        out = GELU()(x)
+        assert out.dtype == dtype
+        assert out.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_gelu_within_4_ulp_of_the_pow_formula(self, dtype):
+        x = self._gelu_inputs(dtype)
+        reference = 0.5 * x * (1.0 + np.tanh(math.sqrt(2.0 / math.pi) * (x + 0.044715 * x**3)))
+        out = GELU()(x)
+        # The ulp is taken at max(|out|, |x|/2): for x << 0, ``1 + tanh(...)``
+        # cancels, so a one-ulp change of the cube moves the tiny output by many
+        # of its own ulps while staying within ulps of the 0.5 * x factor.
+        scale = np.spacing(np.maximum.reduce([np.abs(out), np.abs(reference), 0.5 * np.abs(x)]))
+        assert np.all(np.abs(out - reference) <= 4 * scale)
+        assert np.mean(out == reference) > 0.99
+
+    def test_gelu_forward_batch_equals_forward(self):
+        x = self._gelu_inputs(np.float64)[:4000].reshape(8, 25, 20)
+        gelu = GELU()
+        stacked = np.stack([gelu.forward(sample) for sample in x])
+        assert gelu.forward_batch(x).tobytes() == stacked.tobytes()
 
     def test_flatten(self):
         assert Flatten()(np.ones((2, 3, 4))).shape == (24,)
